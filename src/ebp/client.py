@@ -6,12 +6,29 @@ sequential 1 MiB pieces. There are no hidden retries: a timeout on a
 side-effecting verb surfaces as ``Timeout`` and it is the caller's decision
 what to do next (retry safety exists only in datagram mode, where the
 receiver deduplicates).
+
+``session(addr, timeout_ms)`` lends an exclusive session from a small
+per-address pool; ``lors``, ``lodn`` and the depot's TRANSFER push use it so
+that a run of short requests shares one connection. A session goes back to
+the pool only when its last request ended with ``OK`` or with a depot
+``ERR`` line, so the stream is known to be in sync. One that hit
+``Timeout``, ``ConnectionLost`` or ``MalformedFrame``, or was interrupted
+mid-request, is closed. An idle session that has become readable (the depot
+closed it) is closed instead of lent, without a byte sent. Idle sessions are
+bounded per address and in total, and closed once idle for
+``IDLE_MAX_AGE_S``. The pool never resends a request: a session the depot
+drops while it is lent fails its request with ``ConnectionLost``, exactly as
+a fresh one would.
 """
 
 from __future__ import annotations
 
+import select
 import socket
-from typing import NamedTuple, Optional
+import threading
+import time
+from contextlib import contextmanager
+from typing import Iterator, NamedTuple, Optional
 
 from .capability import Capability, CapabilitySet, Hardness, parse_capability
 from .depot import LoadResult
@@ -34,6 +51,12 @@ from .wire import (
 
 PIECE_SIZE = 1024 * 1024
 DEFAULT_TIMEOUT_MS = 5000
+IDLE_PER_ADDR = 4
+IDLE_TOTAL = 32
+IDLE_MAX_AGE_S = 30.0
+
+# Error codes after which the stream may be out of step with the depot.
+_DESYNC_CODES = frozenset(cls.code for cls in (Timeout, ConnectionLost, MalformedFrame))
 
 
 class ProbeInfo(NamedTuple):
@@ -65,6 +88,7 @@ class DepotClient:
             raise ConnectionLost(f"cannot connect to {addr}: {exc}") from exc
         self._sock.settimeout(timeout_ms / 1000)
         self._buf = bytearray()
+        self._in_sync = True  # False from a request's start until its clean end
 
     # ----------------------------------------------------------------- verbs
 
@@ -95,8 +119,6 @@ class DepotClient:
             tokens, payload = self._request(
                 LoadRequest(cap, offset + fetched, n), 2, payload_expected=True
             )
-            if len(payload) != int(tokens[0]):
-                raise MalformedFrame("response payload length mismatch")
             unknown = unknown or tokens[1] == "1"
             parts.append(payload)
             fetched += n
@@ -142,7 +164,7 @@ class DepotClient:
             max_wall_ms=budget.max_wall_ms,
             max_scratch_bytes=budget.max_scratch_bytes,
             max_io_bytes=budget.max_io_bytes,
-            params=tuple((params or {}).items()),
+            params=tuple((k, _param_text(v)) for k, v in (params or {}).items()),
         )
         tokens, _ = self._request(req, 4)
         return TransformResult(
@@ -160,6 +182,7 @@ class DepotClient:
     # ------------------------------------------------------------- transport
 
     def _request(self, req: Request, n_tokens: int, payload_expected: bool = False):
+        self._in_sync = False
         try:
             self._sock.sendall(encode_request(req))
             line = self._readline()
@@ -170,6 +193,7 @@ class DepotClient:
         kind, parsed = parse_response_header(line)
         if kind == "ERR":
             code, message = parsed
+            self._in_sync = code not in _DESYNC_CODES
             raise error_for_code(code, message)
         if len(parsed) != n_tokens:
             raise MalformedFrame(
@@ -183,6 +207,7 @@ class DepotClient:
                 raise Timeout(f"{req.verb} payload from {self.addr} timed out") from exc
             except OSError as exc:
                 raise ConnectionLost(f"{req.verb} payload from {self.addr}: {exc}") from exc
+        self._in_sync = True
         return parsed, payload
 
     def _readline(self) -> bytes:
@@ -199,15 +224,27 @@ class DepotClient:
                 raise ConnectionLost(f"server {self.addr} closed the connection")
             self._buf += chunk
 
-    def _read_exact(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            chunk = self._sock.recv(min(65536, n - len(self._buf)))
-            if not chunk:
-                raise ConnectionLost(f"server {self.addr} closed mid-payload")
-            self._buf += chunk
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
+    def _read_exact(self, n: int) -> bytearray:
+        """``n`` payload bytes, received straight into a buffer of that size."""
+        out = bytearray(n)
+        have = min(n, len(self._buf))
+        out[:have] = self._buf[:have]
+        del self._buf[:have]
+        with memoryview(out) as view:
+            while have < n:
+                got = self._sock.recv_into(view[have:])
+                if not got:
+                    raise ConnectionLost(f"server {self.addr} closed mid-payload")
+                have += got
         return out
+
+    def _idle_closed(self) -> bool:
+        """True when an idle session has something to read: the depot closed it."""
+        if self._buf or self._sock.fileno() < 0:
+            return True
+        poller = select.poll()
+        poller.register(self._sock, select.POLLIN)
+        return bool(poller.poll(0))
 
     # --------------------------------------------------------------- plumbing
 
@@ -222,3 +259,110 @@ class DepotClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _param_text(value):
+    """Transform params travel as tokens; ints go as decimal text."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return value
+
+
+# ---------------------------------------------------------------- session pool
+
+
+class _SessionPool:
+    """Idle sessions by address, oldest first; each is lent to one caller."""
+
+    def __init__(self):
+        self.per_addr = IDLE_PER_ADDR
+        self.total = IDLE_TOTAL
+        self.max_age_s = IDLE_MAX_AGE_S
+        self.clock = time.monotonic
+        self._lock = threading.Lock()
+        self._idle: dict = {}  # addr -> [(idle since, DepotClient)]
+
+    def take(self, addr: str) -> Optional[DepotClient]:
+        doomed = []
+        found = None
+        with self._lock:
+            self._expire_locked(doomed)
+            idle = self._idle.get(addr, [])
+            while idle and found is None:
+                _, cli = idle.pop()
+                if cli._idle_closed():
+                    doomed.append(cli)
+                else:
+                    found = cli
+            if not idle:
+                self._idle.pop(addr, None)
+        _close_all(doomed)
+        return found
+
+    def give(self, cli: DepotClient) -> None:
+        doomed = []
+        with self._lock:
+            self._expire_locked(doomed)
+            idle = self._idle.setdefault(cli.addr, [])
+            idle.append((self.clock(), cli))
+            if len(idle) > self.per_addr:
+                self._evict_locked(cli.addr, doomed)
+            while sum(len(v) for v in self._idle.values()) > self.total:
+                self._evict_locked(min(self._idle, key=lambda a: self._idle[a][0][0]), doomed)
+        _close_all(doomed)
+
+    def drain(self) -> None:
+        with self._lock:
+            doomed = [cli for idle in self._idle.values() for _, cli in idle]
+            self._idle.clear()
+        _close_all(doomed)
+
+    def idle_counts(self) -> dict:
+        with self._lock:
+            return {addr: len(idle) for addr, idle in self._idle.items()}
+
+    def _evict_locked(self, addr: str, doomed: list) -> None:
+        idle = self._idle[addr]
+        doomed.append(idle.pop(0)[1])
+        if not idle:
+            del self._idle[addr]
+
+    def _expire_locked(self, doomed: list) -> None:
+        cutoff = self.clock() - self.max_age_s
+        for addr in list(self._idle):
+            while addr in self._idle and self._idle[addr][0][0] < cutoff:
+                self._evict_locked(addr, doomed)
+
+
+def _close_all(clients: list) -> None:
+    for cli in clients:
+        cli.close()
+
+
+_pool = _SessionPool()
+
+
+@contextmanager
+def session(addr: str, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> Iterator[DepotClient]:
+    """An exclusive session to ``addr``: an idle pooled one, else a new one.
+
+    On exit the session returns to the pool if its last request left the
+    stream in sync, and is closed otherwise.
+    """
+    cli = _pool.take(addr)
+    if cli is None:
+        cli = DepotClient(addr, timeout_ms)
+    else:
+        cli._sock.settimeout(timeout_ms / 1000)
+    try:
+        yield cli
+    finally:
+        if cli._in_sync:
+            _pool.give(cli)
+        else:
+            cli.close()
+
+
+def drain_pool() -> None:
+    """Close every idle pooled session."""
+    _pool.drain()

@@ -380,7 +380,10 @@ class Depot:
                 raise OutOfRange(
                     f"load [{offset}, {offset + length}) exceeds used {alloc.used}"
                 )
-            return LoadResult(bytes(alloc.data[offset : offset + length]), alloc.poisoned)
+            # One copy, through a view released before the lock is: a live
+            # export would make the next growth of alloc.data fail.
+            with memoryview(alloc.data)[offset : offset + length] as view:
+                return LoadResult(bytes(view), alloc.poisoned)
 
     def transform_write(self, cap: Capability, result: bytes) -> int:
         """Whole-buffer write used by the transform engine.

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import lors
-from .client import DepotClient
+from .client import session
 from .errors import EbpError, NotManaged, ValidationFailed
 from .exnode import ExNode, read_exnode, validate, write_exnode
 
@@ -155,7 +155,7 @@ class LodnScheduler:
             live = 0
             for pos, replica in enumerate(extent.replicas):
                 try:
-                    with DepotClient(replica.depot_addr, timeout_ms=self.timeout_ms) as cli:
+                    with session(replica.depot_addr, self.timeout_ms) as cli:
                         info = cli.probe(replica.manage)
                         if info.expires_in_ms <= policy.renew_before * 1000:
                             cli.renew(replica.manage, int(self.lease_duration_s))

@@ -11,7 +11,9 @@ replica count by depot-to-depot transfer from a surviving replica, so payload
 bytes never cross the repairing client's link.
 
 The runtime is stateless: leases on uploaded chunks default to one hour and
-keeping them alive is the policy daemon's job, not ours.
+keeping them alive is the policy daemon's job, not ours. Every request goes
+through a pooled ``client.session``, so consecutive operations against one
+depot share a connection.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Union
 
 from .capability import Hardness
-from .client import DepotClient
+from .client import session
 from .errors import EbpError, ExtentUnavailable, InsufficientDepots
 from .exnode import ExNode, Extent, Replica, make_exnode, validate
 
@@ -71,7 +73,7 @@ def upload(
                 if addr in dead:
                     continue
             try:
-                with DepotClient(addr, timeout_ms=timeout_ms) as cli:
+                with session(addr, timeout_ms) as cli:
                     caps = cli.allocate(len(chunk), lease_s, hardness)
                     cli.store(caps.write, 0, chunk)
                 replicas.append(
@@ -110,7 +112,7 @@ def download(
         failures = []
         for replica in extent.replicas:
             try:
-                with DepotClient(replica.depot_addr, timeout_ms=timeout_ms) as cli:
+                with session(replica.depot_addr, timeout_ms) as cli:
                     result = cli.load(replica.read, replica.base, extent.length)
                 if result.unknown_state:
                     failures.append(f"{replica.depot_addr}: unknown-state bytes")
@@ -168,9 +170,9 @@ def repair(
                 continue
             source = replicas[0]
             try:
-                with DepotClient(addr, timeout_ms=timeout_ms) as dst_cli:
+                with session(addr, timeout_ms) as dst_cli:
                     caps = dst_cli.allocate(extent.length, lease_s, hardness)
-                with DepotClient(source.depot_addr, timeout_ms=timeout_ms) as src_cli:
+                with session(source.depot_addr, timeout_ms) as src_cli:
                     src_cli.transfer(source.read, source.base, caps.write, 0, extent.length)
                 replicas.append(
                     Replica(depot_addr=addr, read=caps.read, write=caps.write, manage=caps.manage)
@@ -203,7 +205,7 @@ def release_all(exnode: ExNode, *, timeout_ms: int = 5000) -> int:
             if replica.manage is None:
                 continue
             try:
-                with DepotClient(replica.depot_addr, timeout_ms=timeout_ms) as cli:
+                with session(replica.depot_addr, timeout_ms) as cli:
                     cli.release(replica.manage)
                 released += 1
             except EbpError:
@@ -220,7 +222,7 @@ def _alive(replica: Replica, length: int, timeout_ms: int) -> bool:
     probe_offset = replica.base + max(0, length - 1)
     probe_len = 1 if length else 0
     try:
-        with DepotClient(replica.depot_addr, timeout_ms=timeout_ms) as cli:
+        with session(replica.depot_addr, timeout_ms) as cli:
             result = cli.load(replica.read, probe_offset, probe_len)
         return not result.unknown_state
     except EbpError:

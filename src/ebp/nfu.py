@@ -25,6 +25,7 @@ import hashlib
 import threading
 import time
 import zlib
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -209,7 +210,9 @@ class NfuEngine:
         self.depot = depot
         self.registry = registry if registry is not None else builtin_registry()
         self._serial_lock = threading.Lock()
-        self._output_locks: dict[int, threading.Lock] = {}
+        # alloc id -> [lock, transforms holding or waiting on it]; an entry
+        # goes once its count drops to zero, so the map holds only live work.
+        self._output_locks: dict[int, list] = {}
 
     def register_builtin(self, op_name: str, fn: OpFn) -> None:
         self.registry.register(op_name, fn)
@@ -261,14 +264,25 @@ class NfuEngine:
             with self.depot._lock:
                 self.depot._authorize(cap, kind)
 
+    @contextmanager
     def _locks_for(self, outputs: tuple):
         # Overlapping output sets serialize; disjoint sets run concurrently.
+        ids = sorted({cap.alloc_id for cap in outputs})
         with self._serial_lock:
-            locks = [
-                self._output_locks.setdefault(cap.alloc_id, threading.Lock())
-                for cap in sorted(set(outputs), key=lambda c: c.alloc_id)
-            ]
-        return _MultiLock(locks)
+            entries = [self._output_locks.setdefault(i, [threading.Lock(), 0]) for i in ids]
+            for entry in entries:
+                entry[1] += 1
+        try:
+            with ExitStack() as held:
+                for lock, _users in entries:
+                    held.enter_context(lock)
+                yield
+        finally:
+            with self._serial_lock:
+                for alloc_id, entry in zip(ids, entries):
+                    entry[1] -= 1
+                    if not entry[1]:
+                        del self._output_locks[alloc_id]
 
     def _poison_outputs(self, spec: TransformSpec) -> None:
         for cap in spec.outputs:
@@ -276,20 +290,6 @@ class NfuEngine:
                 self.depot.mark_unknown(cap)
             except EbpError:
                 pass  # already reclaimed; nothing left to poison
-
-
-class _MultiLock:
-    def __init__(self, locks):
-        self._locks = locks
-
-    def __enter__(self):
-        for lock in self._locks:
-            lock.acquire()
-
-    def __exit__(self, *exc):
-        for lock in reversed(self._locks):
-            lock.release()
-        return False
 
 
 # --------------------------------------------------------------- built-ins

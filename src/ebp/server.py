@@ -2,8 +2,9 @@
 engine, one logical handler per session, plus a periodic lease sweeper.
 
 TRANSFER is source-initiated push: this depot reads the source range locally
-and, for a remote destination, opens a client session to the destination
-depot and issues piecewise STOREs. The requester never carries payload bytes.
+and, for a remote destination, borrows a pooled client session to the
+destination depot and issues piecewise STOREs. The requester never carries
+payload bytes.
 
 A session whose STORE payload is cut off mid-stream marks the target
 allocation unknown-state before closing: the write happened "somehow, maybe",
@@ -20,6 +21,7 @@ from collections import Counter
 from typing import Optional
 
 from .capability import Capability, parse_capability
+from .client import session
 from .depot import Depot, DepotConfig
 from .errors import (
     BindFailure,
@@ -207,6 +209,7 @@ class DepotServer:
             leftovers = list(self._sessions)
         for conn in leftovers:
             try:
+                conn.shutdown(socket.SHUT_RDWR)  # the peer sees EOF now, not at close
                 conn.close()
             except OSError:
                 pass
@@ -243,45 +246,50 @@ class DepotServer:
             self._sessions.add(conn)
         reader = _Reader(conn, self._stop)
         try:
-            while not self._stop.is_set():
-                try:
-                    line = reader.readline()
-                except _SessionClosed:
-                    return
-                if line is None:
-                    return  # clean EOF between requests
-                if not line.endswith(b"\n"):
-                    _send(conn, ErrResponse("MalformedFrame", "header too long"))
-                    return  # stream cannot be re-synchronized
-                try:
-                    build, payload_len = parse_request_header(line)
-                except MalformedFrame as exc:
-                    if not _send(conn, ErrResponse(exc.code, exc.message)):
-                        return
-                    continue  # header fully consumed; stream still in sync
-                if payload_len > self.config.max_alloc_size:
-                    _send(conn, ErrResponse("MalformedFrame", "declared payload exceeds depot limit"))
-                    return
-                if payload_len:
-                    try:
-                        payload = reader.read_exact(payload_len)
-                    except _SessionClosed:
-                        self._poison_interrupted_store(line)
-                        return
-                else:
-                    payload = b""
-                req = build(payload)
-                resp = dispatch_request(req, self)
-                self._log(req, resp)
-                if not _send(conn, resp):
-                    return
+            while not self._stop.is_set() and self._serve_one(conn, reader):
+                pass
         finally:
-            with self._sessions_lock:
-                self._sessions.discard(conn)
             try:
                 conn.close()
             except OSError:
                 pass
+            with self._sessions_lock:
+                self._sessions.discard(conn)
+
+    def _serve_one(self, conn: socket.socket, reader: "_Reader") -> bool:
+        """Read, run and answer one request; False once the session must end.
+
+        One request per call, so its payload and response die with the frame
+        instead of staying alive while the session idles.
+        """
+        try:
+            line = reader.readline()
+        except _SessionClosed:
+            return False
+        if line is None:
+            return False  # clean EOF between requests
+        if not line.endswith(b"\n"):
+            _send(conn, ErrResponse("MalformedFrame", "header too long"))
+            return False  # stream cannot be re-synchronized
+        try:
+            build, payload_len = parse_request_header(line)
+        except MalformedFrame as exc:
+            # Header fully consumed; the stream is still in sync.
+            return _send(conn, ErrResponse(exc.code, exc.message))
+        if payload_len > self.config.max_alloc_size:
+            _send(conn, ErrResponse("MalformedFrame", "declared payload exceeds depot limit"))
+            return False
+        payload = b""
+        if payload_len:
+            try:
+                payload = reader.read_exact(payload_len)
+            except _SessionClosed:
+                self._poison_interrupted_store(line)
+                return False
+        req = build(payload)
+        resp = dispatch_request(req, self)
+        self._log(req, resp)
+        return _send(conn, resp)
 
     def _poison_interrupted_store(self, header_line: bytes) -> None:
         # The peer vanished mid-payload: the target's contents are unknown.
@@ -312,11 +320,9 @@ class DepotServer:
                 )
                 moved += n
             return moved
-        from .client import DepotClient  # local import: client depends on wire only
-
         moved = 0
         try:
-            with DepotClient(req.dst.depot_addr, timeout_ms=self._transfer_timeout_ms) as remote:
+            with session(req.dst.depot_addr, self._transfer_timeout_ms) as remote:
                 while moved < req.length:
                     n = min(TRANSFER_PIECE, req.length - moved)
                     data, _unknown = self.depot.load(req.src, req.src_offset + moved, n)
@@ -336,9 +342,23 @@ def _alloc_id_of(req: Request) -> str:
 
 
 def _send(conn: socket.socket, resp: Response) -> bool:
-    """Best-effort response write; a vanished peer is not an error."""
+    """Best-effort response write; a vanished peer is not an error.
+
+    A payload goes out after its header by gathered writes, never copied
+    into one buffer with it.
+    """
+    payload = getattr(resp, "payload", b"")
     try:
-        conn.sendall(encode_response(resp))
+        if not payload:
+            conn.sendall(encode_response(resp))
+            return True
+        parts = [memoryview(encode_response(OkResponse(resp.tokens))), memoryview(payload)]
+        while parts:
+            sent = conn.sendmsg(parts)
+            while parts and sent >= len(parts[0]):
+                sent -= len(parts.pop(0))
+            if parts:
+                parts[0] = parts[0][sent:]
         return True
     except OSError:
         return False
@@ -371,31 +391,35 @@ class _Reader:
                 return line
             if len(self._buf) > MAX_HEADER_BYTES:
                 return bytes(self._buf)
-            chunk = self._recv(65536)
-            if chunk is None:
+            chunk = self._receive(self._conn.recv, 65536)
+            if not chunk:
                 if self._buf:
                     raise _SessionClosed()
                 return None
             self._buf += chunk
 
-    def read_exact(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            chunk = self._recv(min(65536, n - len(self._buf)))
-            if chunk is None:
-                raise _SessionClosed()
-            self._buf += chunk
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
+    def read_exact(self, n: int) -> bytearray:
+        """``n`` payload bytes, received straight into a buffer of that size."""
+        out = bytearray(n)
+        have = min(n, len(self._buf))
+        out[:have] = self._buf[:have]
+        del self._buf[:have]
+        with memoryview(out) as view:
+            while have < n:
+                got = self._receive(self._conn.recv_into, view[have:])
+                if not got:
+                    raise _SessionClosed()
+                have += got
         return out
 
-    def _recv(self, limit: int) -> Optional[bytes]:
+    def _receive(self, receive, arg):
+        """``receive(arg)``, waiting out poll timeouts until shutdown."""
         while True:
             if self._stop.is_set():
                 raise _SessionClosed()
             try:
-                chunk = self._conn.recv(limit)
+                return receive(arg)
             except socket.timeout:
                 continue
             except OSError:
                 raise _SessionClosed() from None
-            return chunk if chunk else None

@@ -148,7 +148,11 @@ VERBS = (
 
 
 def _check_token(token: str) -> str:
-    if not token or any(c.isspace() or ord(c) < 0x20 or c == "\x7f" for c in token):
+    if (
+        not isinstance(token, str)
+        or not token
+        or any(c.isspace() or ord(c) < 0x20 or c == "\x7f" for c in token)
+    ):
         raise MalformedFrame(f"bad token {token!r}")
     return token
 

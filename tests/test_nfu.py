@@ -429,3 +429,41 @@ def test_transforms_with_disjoint_outputs_run_concurrently(rig):
     for t in threads:
         t.join()
     assert not errors
+
+
+def test_output_lock_map_holds_only_live_work(rig):
+    depot, engine = rig
+    for _ in range(1000):
+        out = buf(depot, capacity=8)
+        assert run(engine, "fill", [], [out], {"value": "1", "length": "8"}).status is TransformStatus.OK
+        depot.release(out.manage)
+    assert depot.stats().live_allocations == 0
+    assert engine._output_locks == {}
+
+
+def test_output_lock_map_empties_after_contended_transforms(rig):
+    import sys
+    import threading
+
+    depot, engine = rig
+    shared = [buf(depot, capacity=64) for _ in range(2)]
+    statuses = []
+
+    def worker(n: int) -> None:
+        for i in range(30):
+            outs = [shared[(n + i) % 2]] + ([shared[(n + i + 1) % 2]] if i % 3 == 0 else [])
+            statuses.append(run(engine, "fill", [], outs, {"value": str(n), "length": "64"}).status)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert statuses == [TransformStatus.OK] * 180
+    assert engine._output_locks == {}

@@ -27,6 +27,7 @@ from ebp.errors import (
 )
 from ebp.nfu import ResourceBudget, TransformStatus
 from ebp.server import DepotServer
+from ebp.simnet import SimCluster
 
 
 def start_server(total=64 * 1024 * 1024, **kwargs) -> DepotServer:
@@ -329,6 +330,16 @@ def test_transform_over_the_wire(client):
     )
     assert result.status is TransformStatus.OK
     assert client.load(dst.read, 0, 4).data == (0xCBF43926).to_bytes(4, "big")
+
+
+def test_transform_int_params_travel_as_decimal_text():
+    budget = ResourceBudget(max_wall_ms=1000, max_scratch_bytes=1 << 20, max_io_bytes=1 << 20)
+    with SimCluster(1) as cluster, DepotClient(cluster.addrs()[0]) as cli:
+        out = cli.allocate(16, 60, Hardness.SOFT)
+        for value in (0, 7):
+            result = cli.transform("fill", [], [out.write], budget, {"value": value, "length": 16})
+            assert result.status is TransformStatus.OK
+            assert cli.load(out.read, 0, 16).data == bytes([value]) * 16
 
 
 def test_transform_with_zero_budget_is_malformed(client):

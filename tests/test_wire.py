@@ -171,6 +171,13 @@ def test_response_encodings():
     assert kind == "ERR" and code == "Expired" and msg == "lease expired"
 
 
+@pytest.mark.parametrize("value", [7, 0, None, b"7"])
+def test_non_string_tokens_are_malformed_frames(value):
+    req = TransformRequest("fill", (), (), 1, 1, 1, (("value", value),))
+    with pytest.raises(MalformedFrame):
+        encode_request(req)
+
+
 def test_error_message_newlines_sanitized():
     encoded = encode_response(ErrResponse("BadCapability", "multi\nline\nmessage"))
     assert encoded.count(b"\n") == 1
