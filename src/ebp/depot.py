@@ -261,6 +261,17 @@ class Depot:
             alloc = self._authorize(cap, Kind.MANAGE)
             return AllocationInfo(alloc.capacity, alloc.used, alloc.expiry, alloc.hardness)
 
+    def authorize(self, cap: Capability, kind: Kind) -> None:
+        """Raise unless ``cap`` is a ``kind`` capability for a live allocation
+        whose lease has not expired."""
+        with self._lock:
+            self._authorize(cap, kind)
+
+    def used(self, cap: Capability) -> int:
+        """Bytes defined in the allocation a read capability names."""
+        with self._lock:
+            return self._authorize(cap, Kind.READ).used
+
     def renew(self, cap: Capability, extension: float) -> float:
         """Extend a lease; the new expiry never drops below the old one."""
         if extension < 1:

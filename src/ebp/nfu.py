@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import operator
+import re
 import threading
 import time
 import zlib
@@ -148,9 +150,7 @@ class OpContext:
         return len(self._spec.inputs)
 
     def input_size(self, i: int) -> int:
-        cap = self._spec.inputs[i]
-        with self._depot._lock:
-            return self._depot._authorize(cap, Kind.READ).used
+        return self._depot.used(self._spec.inputs[i])
 
     def read(self, i: int, offset: int, length: int) -> bytes:
         """Read one bounded chunk from an input; charged to the io budget."""
@@ -261,8 +261,7 @@ class NfuEngine:
         ]:
             if cap.kind is not kind:
                 raise BadCapability(f"{kind.value} capability required")
-            with self.depot._lock:
-                self.depot._authorize(cap, kind)
+            self.depot.authorize(cap, kind)
 
     @contextmanager
     def _locks_for(self, outputs: tuple):
@@ -365,26 +364,80 @@ def _op_fill(ctx: OpContext) -> None:
     ctx.release_scratch(length)
 
 
+_RUN = re.compile(rb"\x00+")
+_SINGLES = re.compile(rb"\x01+")
+_BYTE = [bytes((v,)) for v in range(256)]
+
+
+def _rle_run(out: bytearray, value: int, n: int) -> None:
+    """Append a run of ``n`` bytes ``value``: pairs of 255, then the rest."""
+    full, rest = divmod(n, 255)
+    out += bytes((255, value)) * full
+    if rest:
+        out += bytes((rest, value))
+
+
+def _rle_singles(out: bytearray, values: bytes) -> None:
+    """Append (1, value) for each byte of ``values`` in one slice write."""
+    n = len(out)
+    out += b"\x01" * (2 * len(values))
+    out[n + 1 :: 2] = values
+
+
+def _rle_expand(counts: bytes, values: bytes) -> bytes:
+    """Each value repeated ``count`` times, joined in one C-level pass."""
+    return b"".join(map(operator.mul, map(_BYTE.__getitem__, values), counts))
+
+
 def _op_rle_compress(ctx: OpContext) -> None:
-    """Run-length encode input 0 as (count 1-255, value) byte pairs."""
+    """Run-length encode input 0 as (count 1-255, value) byte pairs.
+
+    Python works per run or per stretch of single bytes, never per byte: a
+    zero in ``diff`` marks two equal neighbours. The run still open at the
+    end of a chunk carries into the next one, holding at most 255 bytes
+    (its full 255-byte pieces are written), so ``out`` has the same length
+    after every chunk as a byte-at-a-time encoder's.
+    """
     out = bytearray()
     charged = 0
     run_value = -1
     run_len = 0
     for chunk in ctx.read_all(0):
-        for byte in chunk:
-            if byte == run_value and run_len < 255:
-                run_len += 1
-            else:
-                if run_len:
-                    out += bytes((run_len, run_value))
-                run_value = byte
-                run_len = 1
+        pos = 0
+        if run_len:
+            pos = len(chunk) - len(chunk.lstrip(_BYTE[run_value]))
+            run_len += pos
+            if pos < len(chunk):
+                _rle_run(out, run_value, run_len)
+                run_len = 0
+        if pos < len(chunk):
+            last = len(chunk) - 1
+            # Byte i of diff is chunk[i] ^ chunk[i + 1].
+            whole = int.from_bytes(chunk, "big")
+            diff = (whole ^ (whole >> 8)).to_bytes(len(chunk), "big")[1:]
+            while True:
+                start = diff.find(b"\x00", pos)
+                if start < 0:
+                    start = last
+                    _rle_singles(out, chunk[pos:last])
+                    break
+                if start > pos:
+                    _rle_singles(out, chunk[pos:start])
+                end = _RUN.match(diff, start).end()
+                if end == last:
+                    break
+                _rle_run(out, chunk[start], end - start + 1)
+                pos = end + 1
+            run_value, run_len = chunk[start], last - start + 1
+        if run_len > 255:
+            full = (run_len - 1) // 255
+            out += bytes((255, run_value)) * full
+            run_len -= 255 * full
         ctx.charge_scratch(len(out) - charged)
         charged = len(out)
         ctx.check_wall()
     if run_len:
-        out += bytes((run_len, run_value))
+        _rle_run(out, run_value, run_len)
         ctx.charge_scratch(len(out) - charged)
         charged = len(out)
     ctx.emit(0, bytes(out))
@@ -392,6 +445,8 @@ def _op_rle_compress(ctx: OpContext) -> None:
 
 
 def _op_rle_decompress(ctx: OpContext) -> None:
+    """Expand (count, value) pairs; stretches of count 1 copy straight from
+    the values, every other pair is one table lookup and repeat."""
     out = bytearray()
     charged = 0
     pending = b""
@@ -400,11 +455,16 @@ def _op_rle_decompress(ctx: OpContext) -> None:
         pending = b""
         if len(data) % 2:
             data, pending = data[:-1], data[-1:]
-        for i in range(0, len(data), 2):
-            count, value = data[i], data[i + 1]
-            if count == 0:
-                ctx.fault("rle run of length zero")
-            out += bytes([value]) * count
+        counts, values = data[0::2], data[1::2]
+        if b"\x00" in counts:
+            ctx.fault("rle run of length zero")
+        pos = 0
+        for ones in _SINGLES.finditer(counts):
+            start, end = ones.span()
+            out += _rle_expand(counts[pos:start], values[pos:start])
+            out += values[start:end]
+            pos = end
+        out += _rle_expand(counts[pos:], values[pos:])
         ctx.charge_scratch(len(out) - charged)
         charged = len(out)
         ctx.check_wall()

@@ -660,7 +660,7 @@ def test_acceptance_9_nfu_budgets():
     assert result.status is TransformStatus.BUDGET_EXCEEDED
 
     # wall budget: exceeded with <= one 50 ms scheduling quantum of overshoot.
-    src, dst = buffers(bytes(range(256)) * 2048, 2 * MIB)  # 512 KiB, incompressible
+    src, dst = buffers(bytes(range(256)) * 16384, 8 * MIB)  # 4 MiB, incompressible
     result = engine.execute(TransformSpec(
         "rle-compress", (src.read,), (dst.write,), {},
         ResourceBudget(1, 1 << 24, 1 << 26),

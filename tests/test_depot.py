@@ -146,6 +146,28 @@ def test_probe_after_expiry_and_sweep():
         depot.probe(caps.manage)
 
 
+def test_authorize_and_used_follow_the_capability_rules():
+    clock = FakeClock()
+    depot = make_depot(clock=clock)
+    caps = depot.allocate(10, 2, Hardness.SOFT)
+    depot.store(caps.write, 0, b"abc")
+    for kind in Kind:
+        depot.authorize(getattr(caps, kind.value), kind)
+    assert depot.used(caps.read) == 3
+    with pytest.raises(BadCapability):
+        depot.authorize(caps.read, Kind.WRITE)
+    with pytest.raises(BadCapability):
+        depot.used(caps.write)
+    clock.advance(3)
+    with pytest.raises(Expired):
+        depot.authorize(caps.read, Kind.READ)
+    with pytest.raises(Expired):
+        depot.used(caps.read)
+    depot.release(caps.manage)
+    with pytest.raises(NoSuchAllocation):
+        depot.used(caps.read)
+
+
 def test_renew_extends_and_is_monotone():
     clock = FakeClock()
     depot = make_depot(clock=clock)

@@ -200,6 +200,101 @@ def test_rle_decompress_rejects_malformed(rig):
     assert result.status is TransformStatus.OP_FAULT
 
 
+# The kernels read in 64 KiB chunks; these inputs put runs, stretches of
+# single bytes and faults on and across the chunk boundaries.
+CHUNK = 64 * 1024
+
+
+def rle_expand_reference(packed: bytes) -> bytes:
+    """Inverse of ``rle_reference``: expand each (count, value) pair."""
+    return b"".join(bytes([packed[i + 1]]) * packed[i] for i in range(0, len(packed), 2))
+
+
+def rle_model_check(depot, engine, payload: bytes) -> None:
+    """Both kernels against the oracles; ok runs meter exactly read + written."""
+    src = buf(depot, payload, capacity=max(len(payload), 1))
+    packed = buf(depot, capacity=2 * len(payload) + 2)
+    result = run(engine, "rle-compress", [src], [packed])
+    assert result.status is TransformStatus.OK
+    n = depot.probe(packed.manage).used
+    encoded = depot.load(packed.read, 0, n).data
+    assert encoded == rle_reference(payload)
+    assert result.io_bytes_used == len(payload) + n
+    restored = buf(depot, capacity=max(len(payload), 1))
+    result = run(engine, "rle-decompress", [packed], [restored])
+    assert result.status is TransformStatus.OK
+    m = depot.probe(restored.manage).used
+    assert depot.load(restored.read, 0, m).data == payload == rle_expand_reference(encoded)
+    assert result.io_bytes_used == n + m
+    for caps in (src, packed, restored):
+        depot.release(caps.manage)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"",
+        b"x",
+        *(b"a" * n for n in (254, 255, 256, 510, 511)),
+        b"p" * (CHUNK - 300) + b"q" * 600 + b"r",  # run straddles offset 65536
+        b"p" * CHUNK + b"q" * CHUNK,  # runs end and start on the boundary
+        b"s" * 7 + b"t" * (2 * CHUNK + 100) + b"u",  # run spans three chunks
+        bytes(range(256)) * 600,
+        b"ab" * 70_000,
+    ],
+    ids=lambda p: f"{len(p)}B",
+)
+def test_rle_kernels_match_model_at_chunk_boundaries(rig, payload):
+    rle_model_check(*rig, payload)
+
+
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.integers(0, 255),
+            st.one_of(st.integers(1, 3), st.integers(250, 260), st.integers(1, 70_000)),
+        ),
+        max_size=40,
+    )
+)
+@settings(max_examples=20, deadline=None)
+def test_rle_kernels_match_model_on_generated_runs(runs):
+    payload = b"".join(bytes([value]) * length for value, length in runs)[: 200 * 1024]
+    depot = Depot(DepotConfig(total_capacity=1 << 24), addr="127.0.0.1:9")
+    rle_model_check(depot, NfuEngine(depot), payload)
+
+
+def test_rle_decompress_single_counts_between_long_counts(rig):
+    depot, engine = rig
+    # Stretches of count 1 between long counts, crossing the chunk boundary.
+    packed = bytes((200, 97, 1, 98, 1, 99, 1, 100, 255, 101, 1, 102, 9, 103)) * 5000
+    src = buf(depot, packed)
+    expected = rle_expand_reference(packed)
+    out = buf(depot, capacity=len(expected))
+    result = run(engine, "rle-decompress", [src], [out])
+    assert result.status is TransformStatus.OK
+    assert depot.load(out.read, 0, len(expected)).data == expected
+    assert result.io_bytes_used == len(packed) + len(expected)
+
+
+@pytest.mark.parametrize(
+    "packed",
+    [
+        b"\x02a" * 40_000 + b"\x00b" + b"\x02a" * 10,  # zero count in the second chunk
+        b"\x03z" * 33_000 + b"\x07",  # odd length, the stray byte past the boundary
+    ],
+    ids=["zero-count", "odd-length"],
+)
+def test_rle_decompress_faults_past_first_chunk(rig, packed):
+    depot, engine = rig
+    src = buf(depot, packed)
+    out = buf(depot, capacity=1 << 20)
+    result = run(engine, "rle-decompress", [src], [out])
+    assert result.status is TransformStatus.OP_FAULT
+    assert result.outputs_state is OutputsState.UNKNOWN
+    assert depot.load(out.read, 0, 0).unknown_state is True
+
+
 def test_xor_length_mismatch_is_op_fault(rig):
     depot, engine = rig
     a = buf(depot, b"abc")
@@ -248,9 +343,23 @@ def test_scratch_budget_enforced(rig):
     assert result.status is TransformStatus.BUDGET_EXCEEDED
 
 
+def test_rle_compress_charges_a_long_run_chunk_by_chunk(rig):
+    # The first chunk's 257 pairs of 255 go over the scratch budget before
+    # the second chunk is read, although the run goes on to the end.
+    depot, engine = rig
+    src = buf(depot, b"a" * (3 * CHUNK))
+    dst = buf(depot, capacity=2048)
+    tight = ResourceBudget(max_wall_ms=10_000, max_scratch_bytes=100, max_io_bytes=1 << 20)
+    result = run(engine, "rle-compress", [src], [dst], budget=tight)
+    assert result.status is TransformStatus.BUDGET_EXCEEDED
+    assert result.io_bytes_used == CHUNK
+
+
 def test_wall_budget_enforced_with_slack(rig):
     depot, engine = rig
-    payload = bytes(range(256)) * 1024  # 256 KiB of incompressible data
+    # 4 MiB of incompressible data: a full pass takes well over ten times the
+    # 1 ms budget, so the run has to be stopped part-way.
+    payload = bytes(range(256)) * 16384
     src = buf(depot, payload)
     dst = buf(depot, capacity=2 * len(payload))
     tight = ResourceBudget(max_wall_ms=1, max_scratch_bytes=1 << 24, max_io_bytes=1 << 26)

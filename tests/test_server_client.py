@@ -342,6 +342,31 @@ def test_transform_int_params_travel_as_decimal_text():
             assert cli.load(out.read, 0, 16).data == bytes([value]) * 16
 
 
+@pytest.mark.parametrize("shape", ["random", "run-heavy"])
+def test_rle_of_4_mib_round_trips_within_default_timeout(server, shape):
+    size = 4 * 1024 * 1024
+    rng = random.Random(43)
+    if shape == "random":
+        payload = rng.randbytes(size)
+    else:
+        runs = (bytes([rng.randrange(256)]) * rng.randint(1, 700) for _ in range(size // 300))
+        payload = b"".join(runs)[:size]
+        assert len(payload) == size
+    # On a 2-core VM byte-at-a-time kernels need 1.6-2.3 s for each transform
+    # of the random input, the run-at-a-time ones under 0.12 s.
+    budget = ResourceBudget(max_wall_ms=1000, max_scratch_bytes=1 << 24, max_io_bytes=1 << 26)
+    with DepotClient(server.addr) as cli:  # the default timeout
+        src = cli.allocate(size, 60, Hardness.SOFT)
+        packed = cli.allocate(2 * size, 60, Hardness.SOFT)
+        restored = cli.allocate(size, 60, Hardness.SOFT)
+        cli.store(src.write, 0, payload)
+        result = cli.transform("rle-compress", [src.read], [packed.write], budget)
+        assert result.status is TransformStatus.OK
+        result = cli.transform("rle-decompress", [packed.read], [restored.write], budget)
+        assert result.status is TransformStatus.OK
+        assert cli.load(restored.read, 0, size).data == payload
+
+
 def test_transform_with_zero_budget_is_malformed(client):
     src = client.allocate(4, 60, Hardness.SOFT)
     raw = raw_exchange(
