@@ -28,14 +28,16 @@ import socket
 import threading
 import time
 from contextlib import contextmanager
+from functools import partial
 from typing import Iterator, NamedTuple, Optional
 
-from .capability import Capability, CapabilitySet, Hardness, parse_capability
+from .capability import Capability, CapabilitySet, Hardness, parse_capability, parse_hardness
 from .depot import LoadResult
-from .errors import ConnectionLost, MalformedFrame, Timeout, error_for_code
+from .errors import ConnectionLost, EbpError, MalformedFrame, Timeout, error_for_code
 from .nfu import OutputsState, ResourceBudget, TransformResult, TransformStatus
 from .wire import (
     AllocateRequest,
+    Framer,
     LoadRequest,
     ProbeRequest,
     ReleaseRequest,
@@ -47,6 +49,7 @@ from .wire import (
     TransformRequest,
     encode_request,
     parse_response_header,
+    parse_uint,
 )
 
 PIECE_SIZE = 1024 * 1024
@@ -87,27 +90,24 @@ class DepotClient:
         except OSError as exc:
             raise ConnectionLost(f"cannot connect to {addr}: {exc}") from exc
         self._sock.settimeout(timeout_ms / 1000)
-        self._buf = bytearray()
+        self._framer = Framer(self._sock)
         self._in_sync = True  # False from a request's start until its clean end
 
     # ----------------------------------------------------------------- verbs
 
     def allocate(self, capacity: int, duration: int, hardness: Hardness) -> CapabilitySet:
-        tokens, _ = self._request(AllocateRequest(capacity, duration, hardness), 3)
-        read, write, manage = (parse_capability(t) for t in tokens)
-        return CapabilitySet(read=read, write=write, manage=manage)
+        req = AllocateRequest(capacity, duration, hardness)
+        return CapabilitySet(*self._request(req, (parse_capability,) * 3))
 
     def store(self, cap: Capability, offset: int, data: bytes) -> int:
         """Write ``data`` at ``offset``, split into sequential 1 MiB frames."""
-        if not data:
-            tokens, _ = self._request(StoreRequest(cap, offset, b""), 1)
-            return int(tokens[0])
         written = 0
-        while written < len(data):
+        while True:
             piece = data[written : written + PIECE_SIZE]
-            tokens, _ = self._request(StoreRequest(cap, offset + written, piece), 1)
-            written += int(tokens[0])
-        return written
+            req = StoreRequest(cap, offset + written, piece)
+            written += self._request(req, (partial(_exactly, len(piece)),))[0]
+            if written >= len(data):
+                return written
 
     def load(self, cap: Capability, offset: int, length: int) -> LoadResult:
         """Read ``length`` bytes from ``offset`` in 1 MiB pieces."""
@@ -116,38 +116,32 @@ class DepotClient:
         fetched = 0
         while True:
             n = min(PIECE_SIZE, length - fetched)
-            tokens, payload = self._request(
-                LoadRequest(cap, offset + fetched, n), 2, payload_expected=True
+            _, flag, payload = self._request(
+                LoadRequest(cap, offset + fetched, n), (partial(_exactly, n), _flag), payload=True
             )
-            unknown = unknown or tokens[1] == "1"
+            unknown = unknown or flag
             parts.append(payload)
             fetched += n
             if fetched >= length:
                 return LoadResult(b"".join(parts), unknown)
 
     def probe(self, cap: Capability) -> ProbeInfo:
-        tokens, _ = self._request(ProbeRequest(cap), 4)
-        return ProbeInfo(
-            capacity=int(tokens[0]),
-            used=int(tokens[1]),
-            expires_in_ms=int(tokens[2]),
-            hardness=Hardness(tokens[3]),
-        )
+        parsers = (parse_uint, parse_uint, parse_uint, parse_hardness)
+        return ProbeInfo(*self._request(ProbeRequest(cap), parsers))
 
     def renew(self, cap: Capability, extension: int) -> int:
         """Returns the renewed lease's remaining lifetime in milliseconds."""
-        tokens, _ = self._request(RenewRequest(cap, extension), 1)
-        return int(tokens[0])
+        return self._request(RenewRequest(cap, extension), (parse_uint,))[0]
 
     def release(self, cap: Capability) -> None:
-        self._request(ReleaseRequest(cap), 0)
+        self._request(ReleaseRequest(cap), ())
 
     def transfer(
         self, src: Capability, src_offset: int, dst: Capability, dst_offset: int, length: int
     ) -> int:
         """Ask the *source* depot (this session's depot) to push a range."""
-        tokens, _ = self._request(TransferRequest(src, src_offset, dst, dst_offset, length), 1)
-        return int(tokens[0])
+        req = TransferRequest(src, src_offset, dst, dst_offset, length)
+        return self._request(req, (parse_uint,))[0]
 
     def transform(
         self,
@@ -166,81 +160,50 @@ class DepotClient:
             max_io_bytes=budget.max_io_bytes,
             params=tuple((k, _param_text(v)) for k, v in (params or {}).items()),
         )
-        tokens, _ = self._request(req, 4)
-        return TransformResult(
-            status=TransformStatus(tokens[0]),
-            io_bytes_used=int(tokens[1]),
-            wall_ms_used=int(tokens[2]),
-            outputs_state=OutputsState(tokens[3]),
-        )
+        parsers = (TransformStatus, parse_uint, parse_uint, OutputsState)
+        return TransformResult(*self._request(req, parsers))
 
     def stats(self) -> StatsInfo:
-        tokens, _ = self._request(StatsRequest(), 7)
-        numbers = [int(t) for t in tokens]
+        numbers = self._request(StatsRequest(), (parse_uint,) * 7)
         return StatsInfo(*numbers[:4], preemptions=tuple(numbers[4:]))
 
     # ------------------------------------------------------------- transport
 
-    def _request(self, req: Request, n_tokens: int, payload_expected: bool = False):
+    def _request(self, req: Request, parsers: tuple, payload: bool = False) -> list:
+        """Send ``req``; return its reply tokens, each through its parser,
+        and with ``payload`` the payload whose length the first token gives.
+        A reply of the wrong shape raises MalformedFrame and closes the
+        session: the stream can no longer be trusted."""
         self._in_sync = False
         try:
             self._sock.sendall(encode_request(req))
-            line = self._readline()
+            kind, tokens = parse_response_header(self._framer.readline())
+            if kind == "ERR":
+                code, message = tokens
+                self._in_sync = code not in _DESYNC_CODES
+                raise error_for_code(code, message)
+            values = self._parse_reply(req, parsers, tokens)
+            if payload:
+                values.append(self._framer.read_exact(values[0]))
         except socket.timeout as exc:
             raise Timeout(f"{req.verb} against {self.addr} timed out") from exc
         except OSError as exc:
             raise ConnectionLost(f"{req.verb} against {self.addr}: {exc}") from exc
-        kind, parsed = parse_response_header(line)
-        if kind == "ERR":
-            code, message = parsed
-            self._in_sync = code not in _DESYNC_CODES
-            raise error_for_code(code, message)
-        if len(parsed) != n_tokens:
-            raise MalformedFrame(
-                f"{req.verb} response carries {len(parsed)} tokens, expected {n_tokens}"
-            )
-        payload = b""
-        if payload_expected:
-            try:
-                payload = self._read_exact(int(parsed[0]))
-            except socket.timeout as exc:
-                raise Timeout(f"{req.verb} payload from {self.addr} timed out") from exc
-            except OSError as exc:
-                raise ConnectionLost(f"{req.verb} payload from {self.addr}: {exc}") from exc
         self._in_sync = True
-        return parsed, payload
+        return values
 
-    def _readline(self) -> bytes:
-        while True:
-            nl = self._buf.find(b"\n")
-            if nl >= 0:
-                line = bytes(self._buf[: nl + 1])
-                del self._buf[: nl + 1]
-                return line
-            if len(self._buf) > 4096:
-                raise MalformedFrame("response header too long")
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise ConnectionLost(f"server {self.addr} closed the connection")
-            self._buf += chunk
-
-    def _read_exact(self, n: int) -> bytearray:
-        """``n`` payload bytes, received straight into a buffer of that size."""
-        out = bytearray(n)
-        have = min(n, len(self._buf))
-        out[:have] = self._buf[:have]
-        del self._buf[:have]
-        with memoryview(out) as view:
-            while have < n:
-                got = self._sock.recv_into(view[have:])
-                if not got:
-                    raise ConnectionLost(f"server {self.addr} closed mid-payload")
-                have += got
-        return out
+    def _parse_reply(self, req: Request, parsers: tuple, tokens: tuple) -> list:
+        try:
+            if len(tokens) != len(parsers):
+                raise MalformedFrame(f"{len(tokens)} tokens, expected {len(parsers)}")
+            return [parse(token) for parse, token in zip(parsers, tokens)]
+        except (EbpError, ValueError) as exc:
+            self.close()
+            raise MalformedFrame(f"{req.verb} reply from {self.addr}: {exc}") from None
 
     def _idle_closed(self) -> bool:
         """True when an idle session has something to read: the depot closed it."""
-        if self._buf or self._sock.fileno() < 0:
+        if self._framer.buf or self._sock.fileno() < 0:
             return True
         poller = select.poll()
         poller.register(self._sock, select.POLLIN)
@@ -259,6 +222,19 @@ class DepotClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _exactly(n: int, token: str) -> int:
+    """Parser, with ``n`` bound, of a reply token that must be ``n`` bytes."""
+    if parse_uint(token) != n:
+        raise MalformedFrame(f"{token} bytes where {n} were asked for")
+    return n
+
+
+def _flag(token: str) -> bool:
+    if token not in ("0", "1"):
+        raise MalformedFrame(f"flag must be 0 or 1, got {token!r}")
+    return token == "1"
 
 
 def _param_text(value):

@@ -18,9 +18,10 @@ import socket
 import threading
 import time
 from collections import Counter
+from contextlib import suppress
 from typing import Optional
 
-from .capability import Capability, parse_capability
+from .capability import Capability
 from .client import session
 from .depot import Depot, DepotConfig
 from .errors import (
@@ -34,20 +35,12 @@ from .errors import (
 )
 from .nfu import NfuEngine, ResourceBudget, TransformSpec
 from .wire import (
-    AllocateRequest,
     ErrResponse,
-    LoadRequest,
-    MAX_HEADER_BYTES,
+    Framer,
     OkResponse,
-    ProbeRequest,
-    ReleaseRequest,
-    RenewRequest,
     Request,
     Response,
-    StatsRequest,
-    StoreRequest,
     TransferRequest,
-    TransformRequest,
     encode_response,
     parse_request_header,
 )
@@ -56,69 +49,13 @@ logger = logging.getLogger("ebp.depot")
 
 TRANSFER_PIECE = 1024 * 1024
 SWEEP_PERIOD_S = 1.0
-_SESSION_POLL_S = 0.25
 
 
 def dispatch_request(req: Request, server: "DepotServer") -> Response:
     """Map one decoded request onto depot/engine calls and wire tokens."""
-    depot = server.depot
     try:
-        if isinstance(req, AllocateRequest):
-            caps = depot.allocate(req.capacity, req.duration, req.tier)
-            return OkResponse((caps.read.text(), caps.write.text(), caps.manage.text()))
-        if isinstance(req, StoreRequest):
-            written = depot.store(req.cap, req.offset, req.payload)
-            return OkResponse((str(written),))
-        if isinstance(req, LoadRequest):
-            result = depot.load(req.cap, req.offset, req.length)
-            return OkResponse(
-                (str(len(result.data)), "1" if result.unknown_state else "0"), result.data
-            )
-        if isinstance(req, RenewRequest):
-            expiry = depot.renew(req.cap, req.extension)
-            return OkResponse((str(_remaining_ms(depot, expiry)),))
-        if isinstance(req, ReleaseRequest):
-            depot.release(req.cap)
-            return OkResponse()
-        if isinstance(req, ProbeRequest):
-            info = depot.probe(req.cap)
-            return OkResponse(
-                (
-                    str(info.capacity),
-                    str(info.used),
-                    str(_remaining_ms(depot, info.expiry)),
-                    info.hardness.value,
-                )
-            )
-        if isinstance(req, TransferRequest):
-            moved = server.handle_transfer(req)
-            return OkResponse((str(moved),))
-        if isinstance(req, TransformRequest):
-            result = server.engine.execute(_transform_spec(req))
-            return OkResponse(
-                (
-                    result.status.value,
-                    str(result.io_bytes_used),
-                    str(result.wall_ms_used),
-                    result.outputs_state.value,
-                )
-            )
-        if isinstance(req, StatsRequest):
-            stats = depot.stats()
-            pre = stats.preemptions
-            return OkResponse(
-                tuple(
-                    str(n)
-                    for n in (
-                        stats.sum_hard,
-                        stats.sum_soft,
-                        stats.bytes_in_use,
-                        stats.live_allocations,
-                        *(pre[tier] for tier in sorted(pre, key=lambda t: t.rank)),
-                    )
-                )
-            )
-        raise MalformedFrame(f"unhandled request type {type(req).__name__}")
+        result = _HANDLERS[req.verb](req, server)
+        return result if isinstance(result, OkResponse) else OkResponse(result)
     except EbpError as exc:
         return ErrResponse(exc.code, exc.message)
     except ValueError as exc:
@@ -132,21 +69,69 @@ def _remaining_ms(depot: Depot, expiry: float) -> int:
     return max(0, int((expiry - depot.now()) * 1000))
 
 
-def _transform_spec(req: TransformRequest) -> TransformSpec:
+# Per-verb handlers: (request, server) -> reply tokens, or an OkResponse with a payload.
+
+
+def _load(req, server) -> OkResponse:
+    data, unknown = server.depot.load(req.cap, req.offset, req.length)
+    return OkResponse((str(len(data)), "1" if unknown else "0"), data)
+
+
+def _release(req, server) -> tuple:
+    server.depot.release(req.cap)
+    return ()
+
+
+def _probe(req, server) -> tuple:
+    info = server.depot.probe(req.cap)
+    remaining = _remaining_ms(server.depot, info.expiry)
+    return str(info.capacity), str(info.used), str(remaining), info.hardness.value
+
+
+def _transform(req, server) -> tuple:
     keys = [k for k, _ in req.params]
     if len(set(keys)) != len(keys):
         raise MalformedFrame("duplicate transform param keys")
-    try:
-        budget = ResourceBudget(req.max_wall_ms, req.max_scratch_bytes, req.max_io_bytes)
-    except ValueError as exc:
-        raise MalformedFrame(str(exc)) from exc
-    return TransformSpec(
+    budget = ResourceBudget(req.max_wall_ms, req.max_scratch_bytes, req.max_io_bytes)
+    spec = TransformSpec(
         op_name=req.op_name,
         inputs=req.inputs,
         outputs=req.outputs,
         params=dict(req.params),
         budget=budget,
     )
+    result = server.engine.execute(spec)
+    return (
+        result.status.value,
+        str(result.io_bytes_used),
+        str(result.wall_ms_used),
+        result.outputs_state.value,
+    )
+
+
+def _stats(req, server) -> tuple:
+    stats = server.depot.stats()
+    pre = stats.preemptions
+    tiers = sorted(pre, key=lambda t: t.rank)
+    counts = (stats.sum_hard, stats.sum_soft, stats.bytes_in_use, stats.live_allocations)
+    return tuple(str(n) for n in (*counts, *(pre[tier] for tier in tiers)))
+
+
+_HANDLERS = {
+    "ALLOCATE": lambda req, server: tuple(
+        cap.text() for cap in server.depot.allocate(req.capacity, req.duration, req.tier)
+    ),
+    "STORE": lambda req, server: (str(server.depot.store(req.cap, req.offset, req.payload)),),
+    "LOAD": _load,
+    "RENEW": lambda req, server: (
+        str(_remaining_ms(server.depot, server.depot.renew(req.cap, req.extension))),
+    ),
+    "RELEASE": _release,
+    "PROBE": _probe,
+    "TRANSFER": lambda req, server: (str(server.handle_transfer(req)),),
+    "TRANSFORM": _transform,
+    "STATS": _stats,
+}
 
 
 class DepotServer:
@@ -185,7 +170,6 @@ class DepotServer:
             sock.close()
             raise BindFailure(f"cannot bind {self.config.listen_addr}: {exc}") from exc
         sock.listen(64)
-        sock.settimeout(_SESSION_POLL_S)
         self._sock = sock
         self.addr = f"{host}:{sock.getsockname()[1]}"
         self.depot.addr = self.addr  # capabilities carry the bound address
@@ -201,18 +185,14 @@ class DepotServer:
         """Stop accepting; in-flight requests complete, then sessions close."""
         self._stop.set()
         if self._sock is not None:
-            self._sock.close()
+            _shut(self._sock)  # wakes the blocked accept()
         for thread in self._threads:
             thread.join(timeout=5)
         self._threads.clear()
         with self._sessions_lock:
             leftovers = list(self._sessions)
         for conn in leftovers:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)  # the peer sees EOF now, not at close
-                conn.close()
-            except OSError:
-                pass
+            _shut(conn)  # wakes a blocked read or send; the peer sees EOF now
 
     def serve_forever(self) -> None:
         """Run until stop() is called from another thread or a signal handler."""
@@ -227,10 +207,11 @@ class DepotServer:
         while not self._stop.is_set():
             try:
                 conn, _peer = self._sock.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                return  # listener closed
+                return  # listener shut down
+            # Registered before its thread starts, so stop() always finds it.
+            with self._sessions_lock:
+                self._sessions.add(conn)
             thread = threading.Thread(target=self._session, args=(conn,), daemon=True)
             thread.start()
 
@@ -241,36 +222,28 @@ class DepotServer:
     # ---------------------------------------------------------------- session
 
     def _session(self, conn: socket.socket) -> None:
-        conn.settimeout(_SESSION_POLL_S)
-        with self._sessions_lock:
-            self._sessions.add(conn)
-        reader = _Reader(conn, self._stop)
+        framer = Framer(conn)
         try:
-            while not self._stop.is_set() and self._serve_one(conn, reader):
+            while not self._stop.is_set() and self._serve_one(conn, framer):
                 pass
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
             with self._sessions_lock:
                 self._sessions.discard(conn)
+            conn.close()
 
-    def _serve_one(self, conn: socket.socket, reader: "_Reader") -> bool:
+    def _serve_one(self, conn: socket.socket, framer: Framer) -> bool:
         """Read, run and answer one request; False once the session must end.
 
         One request per call, so its payload and response die with the frame
         instead of staying alive while the session idles.
         """
         try:
-            line = reader.readline()
-        except _SessionClosed:
-            return False
-        if line is None:
-            return False  # clean EOF between requests
-        if not line.endswith(b"\n"):
-            _send(conn, ErrResponse("MalformedFrame", "header too long"))
+            line = framer.readline()
+        except MalformedFrame as exc:
+            _send(conn, ErrResponse(exc.code, exc.message))
             return False  # stream cannot be re-synchronized
+        except OSError:
+            return False
         try:
             build, payload_len = parse_request_header(line)
         except MalformedFrame as exc:
@@ -279,26 +252,19 @@ class DepotServer:
         if payload_len > self.config.max_alloc_size:
             _send(conn, ErrResponse("MalformedFrame", "declared payload exceeds depot limit"))
             return False
-        payload = b""
-        if payload_len:
-            try:
-                payload = reader.read_exact(payload_len)
-            except _SessionClosed:
-                self._poison_interrupted_store(line)
-                return False
+        try:
+            payload = framer.read_exact(payload_len) if payload_len else b""
+        except OSError:
+            # The peer vanished mid-payload: the target's contents are unknown.
+            cap = build(b"").cap
+            with suppress(EbpError):
+                self.depot.mark_unknown(cap)
+                logger.warning("STORE interrupted mid-payload; alloc=%s poisoned", cap.alloc_id)
+            return False
         req = build(payload)
         resp = dispatch_request(req, self)
         self._log(req, resp)
         return _send(conn, resp)
-
-    def _poison_interrupted_store(self, header_line: bytes) -> None:
-        # The peer vanished mid-payload: the target's contents are unknown.
-        try:
-            cap = parse_capability(header_line.split(b" ")[1].decode("utf-8"))
-            self.depot.mark_unknown(cap)
-            logger.warning("STORE interrupted mid-payload; alloc=%s poisoned", cap.alloc_id)
-        except EbpError:
-            pass
 
     def _log(self, req: Request, resp: Response) -> None:
         self.verb_counts[req.verb] += 1
@@ -341,6 +307,12 @@ def _alloc_id_of(req: Request) -> str:
     return "-"
 
 
+def _shut(sock: socket.socket) -> None:
+    with suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)
+    sock.close()
+
+
 def _send(conn: socket.socket, resp: Response) -> bool:
     """Best-effort response write; a vanished peer is not an error.
 
@@ -362,64 +334,3 @@ def _send(conn: socket.socket, resp: Response) -> bool:
         return True
     except OSError:
         return False
-
-
-class _SessionClosed(Exception):
-    """Transport gone (EOF, reset) or server shutting down."""
-
-
-class _Reader:
-    """Buffered socket reader that polls the shutdown flag while blocked."""
-
-    def __init__(self, conn: socket.socket, stop: threading.Event):
-        self._conn = conn
-        self._stop = stop
-        self._buf = bytearray()
-
-    def readline(self) -> Optional[bytes]:
-        """One header line including LF; None on clean EOF between requests.
-
-        An over-long line (no LF within the header limit) is returned without
-        its terminator so the caller can reject it; the stream cannot be
-        re-synchronized after that.
-        """
-        while True:
-            nl = self._buf.find(b"\n")
-            if nl >= 0:
-                line = bytes(self._buf[: nl + 1])
-                del self._buf[: nl + 1]
-                return line
-            if len(self._buf) > MAX_HEADER_BYTES:
-                return bytes(self._buf)
-            chunk = self._receive(self._conn.recv, 65536)
-            if not chunk:
-                if self._buf:
-                    raise _SessionClosed()
-                return None
-            self._buf += chunk
-
-    def read_exact(self, n: int) -> bytearray:
-        """``n`` payload bytes, received straight into a buffer of that size."""
-        out = bytearray(n)
-        have = min(n, len(self._buf))
-        out[:have] = self._buf[:have]
-        del self._buf[:have]
-        with memoryview(out) as view:
-            while have < n:
-                got = self._receive(self._conn.recv_into, view[have:])
-                if not got:
-                    raise _SessionClosed()
-                have += got
-        return out
-
-    def _receive(self, receive, arg):
-        """``receive(arg)``, waiting out poll timeouts until shutdown."""
-        while True:
-            if self._stop.is_set():
-                raise _SessionClosed()
-            try:
-                return receive(arg)
-            except socket.timeout:
-                continue
-            except OSError:
-                raise _SessionClosed() from None

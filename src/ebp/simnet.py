@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .depot import DepotConfig
-from .errors import EbpError, RemoteUnreachable, UnknownDepot
+from .errors import EbpError, MalformedFrame, RemoteUnreachable, UnknownDepot
 from .server import DepotServer, dispatch_request
 from .wire import (
     DecisionKind,
@@ -212,6 +212,8 @@ class DatagramDepot:
             current, origin = ready.pop()
             try:
                 request, _ = decode_request(current.body)
+                if VERB_CODES[request.verb] != current.verb_code:
+                    raise MalformedFrame(f"verb code {current.verb_code} is not {request.verb}")
                 response = encode_response(dispatch_request(request, self))
             except EbpError as exc:
                 response = encode_response(ErrResponse(exc.code, exc.message))
@@ -430,11 +432,6 @@ class SimCluster:
 
     def __exit__(self, *exc) -> None:
         self.stop_all()
-
-
-def spawn_cluster(n: int, **kwargs) -> SimCluster:
-    """Spawn N depots with optional per-depot config overrides."""
-    return SimCluster(n, **kwargs)
 
 
 # ------------------------------------------------------------------ scripts

@@ -20,13 +20,18 @@ Two transports share one request vocabulary:
   Responses are ``OK <tokens...>`` or ``ERR <ErrorCode> <message>``; LOAD's
   OK carries a payload. Durations travel as relative times (seconds in
   requests, integer milliseconds remaining in responses): absolute values of
-  one node's monotonic clock mean nothing to another node.
+  one node's monotonic clock mean nothing to another node. ``Framer`` reads
+  header lines and payloads off a socket for both the depot and the client.
 
 * Datagram mode: fixed binary frames ("EBP1" magic, big-endian integers)
   carrying an op id, up to 16 dependency tags, a verb code and a body that is
   simply the stream encoding of the same request. Dependencies impose only
   the necessary order: a frame executes once all its deps have completed at
   the receiver, whatever order the network managed.
+
+``VERB_TABLE`` is the one place a verb is declared: its request dataclass,
+datagram code and the header kind of each field. Encoding, decoding and the
+verb codes all read it.
 
 Duplicate suppression lives in ``DedupWindow``: a completed op's response is
 cached and replayed on any later copy of the frame, so retransmissions are
@@ -39,9 +44,10 @@ receiver state.
 
 from __future__ import annotations
 
+import socket
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, Optional, Union
 
 from .capability import Capability, Hardness, parse_capability, parse_hardness
 from .errors import MalformedFrame
@@ -122,31 +128,6 @@ class StatsRequest:
     verb = "STATS"
 
 
-Request = Union[
-    AllocateRequest,
-    StoreRequest,
-    LoadRequest,
-    RenewRequest,
-    ReleaseRequest,
-    ProbeRequest,
-    TransferRequest,
-    TransformRequest,
-    StatsRequest,
-]
-
-VERBS = (
-    "ALLOCATE",
-    "STORE",
-    "LOAD",
-    "TRANSFER",
-    "TRANSFORM",
-    "PROBE",
-    "RENEW",
-    "RELEASE",
-    "STATS",
-)
-
-
 def _check_token(token: str) -> str:
     if (
         not isinstance(token, str)
@@ -157,7 +138,7 @@ def _check_token(token: str) -> str:
     return token
 
 
-def _uint(token: str, what: str) -> int:
+def parse_uint(token: str, what: str = "token") -> int:
     if not token.isascii() or not token.isdigit():
         raise MalformedFrame(f"{what} must be an unsigned integer, got {token!r}")
     value = int(token)
@@ -166,77 +147,81 @@ def _uint(token: str, what: str) -> int:
     return value
 
 
+class _Kind(NamedTuple):
+    """How one request field is written on the header line."""
+
+    name: str
+    encode: Callable  # field value -> header text
+    parse: Callable  # (token, field name) -> value; counted: item tokens -> value
+    width: int = 0  # counted kinds: a count, then this many tokens per item
+
+
+# Capabilities are parsed through this module's ``parse_capability``, looked
+# up at call time.
+CAP = _Kind("cap", Capability.text, lambda token, what: parse_capability(token))
+UINT = _Kind("uint", str, parse_uint)
+TIER = _Kind("tier", lambda tier: tier.value, lambda token, what: parse_hardness(token))
+TOKEN = _Kind("token", _check_token, lambda token, what: token)
+CAPS = _Kind(
+    "caps",
+    lambda caps: " ".join([str(len(caps)), *(cap.text() for cap in caps)]),
+    lambda group: tuple(parse_capability(t) for t in group),
+    1,
+)
+PARAMS = _Kind(
+    "params",
+    lambda params: " ".join(
+        [str(len(params)), *(_check_token(t) for key, value in params for t in (key, value))]
+    ),
+    lambda group: tuple(zip(group[::2], group[1::2])),
+    2,
+)
+# The length of the raw payload that follows the header; last field only.
+PAYLOAD = _Kind("payload", lambda payload: str(len(payload)), parse_uint)
+
+
+class VerbSpec(NamedTuple):
+    request: type  # the request dataclass; its ``verb`` names the verb
+    code: int  # datagram verb code
+    fields: tuple  # ((field name, _Kind), ...) in field order
+    payload: bool  # the last field is the payload
+
+
+def _verb(request: type, code: int, *kinds: _Kind) -> tuple:
+    names = (f.name for f in fields(request))
+    return request.verb, VerbSpec(request, code, tuple(zip(names, kinds)), kinds[-1:] == (PAYLOAD,))
+
+
+# The one place a verb is declared: name -> VerbSpec.
+VERB_TABLE = dict(
+    (
+        _verb(AllocateRequest, 1, UINT, UINT, TIER),
+        _verb(StoreRequest, 2, CAP, UINT, PAYLOAD),
+        _verb(LoadRequest, 3, CAP, UINT, UINT),
+        _verb(TransferRequest, 4, CAP, UINT, CAP, UINT, UINT),
+        _verb(TransformRequest, 5, TOKEN, CAPS, CAPS, UINT, UINT, UINT, PARAMS),
+        _verb(ProbeRequest, 6, CAP),
+        _verb(RenewRequest, 7, CAP, UINT),
+        _verb(ReleaseRequest, 8, CAP),
+        _verb(StatsRequest, 9),
+    )
+)
+Request = Union[tuple(spec.request for spec in VERB_TABLE.values())]
+
+
 def encode_request(req: Request) -> bytes:
     """Encode a request; ``decode_request(encode_request(r)) == r``."""
-    if isinstance(req, AllocateRequest):
-        line = f"ALLOCATE {req.capacity} {req.duration} {req.tier.value}"
-        payload = b""
-    elif isinstance(req, StoreRequest):
-        line = f"STORE {req.cap.text()} {req.offset} {len(req.payload)}"
-        payload = req.payload
-    elif isinstance(req, LoadRequest):
-        line = f"LOAD {req.cap.text()} {req.offset} {req.length}"
-        payload = b""
-    elif isinstance(req, RenewRequest):
-        line = f"RENEW {req.cap.text()} {req.extension}"
-        payload = b""
-    elif isinstance(req, ReleaseRequest):
-        line = f"RELEASE {req.cap.text()}"
-        payload = b""
-    elif isinstance(req, ProbeRequest):
-        line = f"PROBE {req.cap.text()}"
-        payload = b""
-    elif isinstance(req, TransferRequest):
-        line = (
-            f"TRANSFER {req.src.text()} {req.src_offset}"
-            f" {req.dst.text()} {req.dst_offset} {req.length}"
-        )
-        payload = b""
-    elif isinstance(req, TransformRequest):
-        parts = ["TRANSFORM", _check_token(req.op_name), str(len(req.inputs))]
-        parts += [cap.text() for cap in req.inputs]
-        parts.append(str(len(req.outputs)))
-        parts += [cap.text() for cap in req.outputs]
-        parts += [str(req.max_wall_ms), str(req.max_scratch_bytes), str(req.max_io_bytes)]
-        parts.append(str(len(req.params)))
-        for key, value in req.params:
-            parts += [_check_token(key), _check_token(value)]
-        line = " ".join(parts)
-        payload = b""
-    elif isinstance(req, StatsRequest):
-        line = "STATS"
-        payload = b""
-    else:
+    spec = VERB_TABLE.get(getattr(req, "verb", None))
+    if spec is None or not isinstance(req, spec.request):
         raise TypeError(f"not a request: {req!r}")
-    header = line.encode("utf-8") + b"\n"
+    tokens = [req.verb]
+    for name, kind in spec.fields:
+        value = getattr(req, name)
+        tokens.append(kind.encode(value))
+    header = " ".join(tokens).encode("utf-8") + b"\n"
     if len(header) > MAX_HEADER_BYTES:
         raise MalformedFrame(f"header of {len(header)} bytes exceeds {MAX_HEADER_BYTES}")
-    return header + payload
-
-
-class _Tokens:
-    """Cursor over the header tokens with typed, bounds-checked takes."""
-
-    def __init__(self, tokens: list):
-        self._tokens = tokens
-        self._pos = 0
-
-    def take(self, what: str) -> str:
-        if self._pos >= len(self._tokens):
-            raise MalformedFrame(f"missing {what}")
-        token = self._tokens[self._pos]
-        self._pos += 1
-        return token
-
-    def take_uint(self, what: str) -> int:
-        return _uint(self.take(what), what)
-
-    def take_cap(self, what: str) -> Capability:
-        return parse_capability(self.take(what))
-
-    def finish(self) -> None:
-        if self._pos != len(self._tokens):
-            raise MalformedFrame(f"{len(self._tokens) - self._pos} trailing tokens")
+    return header + value if spec.payload else header  # value: the last field
 
 
 def parse_request_header(line: bytes) -> tuple[Callable[[bytes], Request], int]:
@@ -262,72 +247,29 @@ def parse_request_header(line: bytes) -> tuple[Callable[[bytes], Request], int]:
         raise MalformedFrame("empty token (doubled or trailing space)")
     for tok in raw:
         _check_token(tok)
-    cursor = _Tokens(raw)
-    verb = cursor.take("verb")
-
-    if verb == "ALLOCATE":
-        capacity = cursor.take_uint("capacity")
-        duration = cursor.take_uint("duration")
-        tier = parse_hardness(cursor.take("tier"))
-        cursor.finish()
-        return (lambda _: AllocateRequest(capacity, duration, tier)), 0
-    if verb == "STORE":
-        cap = cursor.take_cap("write capability")
-        offset = cursor.take_uint("offset")
-        length = cursor.take_uint("length")
-        cursor.finish()
-        return (lambda payload: StoreRequest(cap, offset, payload)), length
-    if verb == "LOAD":
-        cap = cursor.take_cap("read capability")
-        offset = cursor.take_uint("offset")
-        length = cursor.take_uint("length")
-        cursor.finish()
-        return (lambda _: LoadRequest(cap, offset, length)), 0
-    if verb == "RENEW":
-        cap = cursor.take_cap("manage capability")
-        extension = cursor.take_uint("extension")
-        cursor.finish()
-        return (lambda _: RenewRequest(cap, extension)), 0
-    if verb == "RELEASE":
-        cap = cursor.take_cap("manage capability")
-        cursor.finish()
-        return (lambda _: ReleaseRequest(cap)), 0
-    if verb == "PROBE":
-        cap = cursor.take_cap("manage capability")
-        cursor.finish()
-        return (lambda _: ProbeRequest(cap)), 0
-    if verb == "TRANSFER":
-        src = cursor.take_cap("source read capability")
-        src_offset = cursor.take_uint("source offset")
-        dst = cursor.take_cap("destination write capability")
-        dst_offset = cursor.take_uint("destination offset")
-        length = cursor.take_uint("length")
-        cursor.finish()
-        return (lambda _: TransferRequest(src, src_offset, dst, dst_offset, length)), 0
-    if verb == "TRANSFORM":
-        op_name = cursor.take("op name")
-        n_in = cursor.take_uint("input count")
-        inputs = tuple(cursor.take_cap(f"input {i}") for i in range(n_in))
-        n_out = cursor.take_uint("output count")
-        outputs = tuple(cursor.take_cap(f"output {i}") for i in range(n_out))
-        max_wall_ms = cursor.take_uint("max_wall_ms")
-        max_scratch = cursor.take_uint("max_scratch_bytes")
-        max_io = cursor.take_uint("max_io_bytes")
-        n_params = cursor.take_uint("param count")
-        params = tuple(
-            (cursor.take(f"param key {i}"), cursor.take(f"param value {i}"))
-            for i in range(n_params)
-        )
-        cursor.finish()
-        return (
-            lambda _: TransformRequest(
-                op_name, inputs, outputs, max_wall_ms, max_scratch, max_io, params
-            )
-        ), 0
-    if verb == "STATS":
-        cursor.finish()
-        return (lambda _: StatsRequest()), 0
-    raise MalformedFrame(f"unknown verb {verb!r}")
+    spec = VERB_TABLE.get(raw[0])
+    if spec is None:
+        raise MalformedFrame(f"unknown verb {raw[0]!r}")
+    values = []
+    pos = 1
+    for name, kind in spec.fields:
+        if pos >= len(raw):
+            raise MalformedFrame(f"missing {name}")
+        token = raw[pos]
+        pos += 1
+        if kind.width:
+            end = pos + parse_uint(token, name) * kind.width
+            values.append(kind.parse(raw[pos:end]))
+            pos = end
+        else:
+            values.append(kind.parse(token, name))
+    if pos != len(raw):
+        raise MalformedFrame(f"{len(raw) - pos} trailing tokens" if pos < len(raw) else "missing")
+    if spec.payload:
+        length = values.pop()
+        return (lambda payload: spec.request(*values, payload)), length
+    req = spec.request(*values)
+    return (lambda _: req), 0
 
 
 def decode_request(data: bytes) -> tuple[Request, int]:
@@ -386,24 +328,53 @@ def parse_response_header(line: bytes) -> tuple[str, tuple]:
     raise MalformedFrame(f"bad response line {text[:80]!r}")
 
 
+class Framer:
+    """Buffered reads of stream frames from one socket: header lines and
+    exact-length payloads. Socket errors and timeouts propagate, and so does
+    a ``ConnectionError`` when the peer closes first."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.buf = bytearray()  # received, not yet consumed
+
+    def readline(self) -> bytes:
+        """One header line including its LF. MalformedFrame once more than
+        ``MAX_HEADER_BYTES`` arrive with no LF, since the stream cannot be
+        re-synchronized; a longer terminated line is left to the parser."""
+        while True:
+            nl = self.buf.find(b"\n")
+            if nl >= 0:
+                line = bytes(self.buf[: nl + 1])
+                del self.buf[: nl + 1]
+                return line
+            if len(self.buf) > MAX_HEADER_BYTES:
+                raise MalformedFrame("header too long")
+            chunk = self.sock.recv(65536)
+            if not chunk:
+                raise ConnectionError("peer closed the connection")
+            self.buf += chunk
+
+    def read_exact(self, n: int) -> bytearray:
+        """``n`` payload bytes, received straight into a buffer of that size."""
+        out = bytearray(n)
+        have = min(n, len(self.buf))
+        out[:have] = self.buf[:have]
+        del self.buf[:have]
+        with memoryview(out) as view:
+            while have < n:
+                got = self.sock.recv_into(view[have:])
+                if not got:
+                    raise ConnectionError("peer closed the connection mid-payload")
+                have += got
+        return out
+
+
 # ------------------------------------------------------------ datagram mode
 
 FRAME_MAGIC = b"EBP1"
 MAX_DEPS = 16
 
-VERB_CODES = {
-    "RESPONSE": 0,
-    "ALLOCATE": 1,
-    "STORE": 2,
-    "LOAD": 3,
-    "TRANSFER": 4,
-    "TRANSFORM": 5,
-    "PROBE": 6,
-    "RENEW": 7,
-    "RELEASE": 8,
-    "STATS": 9,
-}
-VERB_NAMES = {code: name for name, code in VERB_CODES.items()}
+VERB_CODES = {"RESPONSE": 0, **{name: spec.code for name, spec in VERB_TABLE.items()}}
 
 
 @dataclass(frozen=True)
@@ -420,7 +391,7 @@ class OpFrame:
             raise MalformedFrame("op_id out of 64-bit range")
         if len(self.deps) > MAX_DEPS:
             raise MalformedFrame(f"{len(self.deps)} deps exceed limit of {MAX_DEPS}")
-        if not 0 <= self.verb_code <= 0xFF or self.verb_code not in VERB_NAMES:
+        if self.verb_code not in VERB_CODES.values():
             raise MalformedFrame(f"unknown verb code {self.verb_code}")
 
 
@@ -502,11 +473,6 @@ class DedupWindow:
         while self.low_watermark in self.completed:
             del self.completed[self.low_watermark]
             self.low_watermark += 1
-
-
-def admit_frame(window: DedupWindow, frame: OpFrame) -> Decision:
-    """Module-level spelling of ``DedupWindow.admit``."""
-    return window.admit(frame)
 
 
 # ------------------------------------------------------- retransmit policy

@@ -440,3 +440,61 @@ def test_fuzz_smoke_over_sockets(server):
         assert reply == b"" or reply.startswith(b"OK") or reply.startswith(b"ERR")
     with DepotClient(server.addr) as cli:
         cli.stats()  # server still alive
+
+
+# ------------------------------------------------------------ blocking sessions
+
+EIGHT_MIB = 8 * 1024 * 1024
+
+
+def stored_8mib(server) -> str:
+    """Read capability text of a fresh 8 MiB allocation on ``server``."""
+    with DepotClient(server.addr) as cli:
+        caps = cli.allocate(EIGHT_MIB, 60, Hardness.SOFT)
+        cli.store(caps.write, 0, random.Random(8).randbytes(EIGHT_MIB))
+    return caps.read.text()
+
+
+def raw_connect(addr: str) -> socket.socket:
+    host, port = addr.rsplit(":", 1)
+    return socket.create_connection((host, int(port)), timeout=5)
+
+
+def read_until_eof(sock: socket.socket) -> bytes:
+    out = bytearray()
+    while True:
+        chunk = sock.recv(1 << 20)
+        if not chunk:
+            return bytes(out)
+        out += chunk
+
+
+def test_load_waits_for_a_paused_reader(server):
+    read_cap = stored_8mib(server)
+    with raw_connect(server.addr) as sock:
+        sock.sendall(f"LOAD {read_cap} 0 {EIGHT_MIB}\n".encode())
+        time.sleep(0.6)  # the depot's send blocks meanwhile
+        sock.shutdown(socket.SHUT_WR)  # the depot ends the session after this reply
+        reply = read_until_eof(sock)
+    header, payload = reply.split(b"\n", 1)
+    assert header == f"OK {EIGHT_MIB} 0".encode()
+    assert len(payload) == EIGHT_MIB
+
+
+def test_stop_wakes_idle_reading_and_sending_sessions():
+    server = start_server()
+    read_cap = stored_8mib(server)
+    idle, mid_header, stuck = (raw_connect(server.addr) for _ in range(3))
+    for sock in (idle, mid_header, stuck):
+        sock.sendall(b"STATS\n")
+        assert sock.recv(4096).startswith(b"OK ")  # the depot has this session
+    mid_header.sendall(b"PROBE ebp://")
+    stuck.sendall(f"LOAD {read_cap} 0 {EIGHT_MIB}\n".encode())  # and never read
+    time.sleep(0.3)
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 1.0
+    for sock in (idle, mid_header, stuck):
+        with sock:
+            received = read_until_eof(sock)  # EOF, not the 5 s timeout
+        assert len(received) < EIGHT_MIB

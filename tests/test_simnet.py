@@ -268,3 +268,27 @@ def test_rearm_after_giveup_reaches_depot_exactly_once():
         cluster.loop.run_until_idle()
         assert client.ops[op].status == "acked"
         assert cluster.handle("d0").endpoint.exec_counts[op] == 1
+
+
+def test_frame_whose_code_is_not_its_body_verb_is_refused():
+    from ebp.wire import OpFrame, VERB_CODES, decode_frame, encode_frame, encode_request
+
+    with SimCluster(1) as cluster:
+        endpoint = cluster.handle("d0").endpoint
+        replies = []
+        cluster.fabric.register("client", lambda data, src: replies.append(data))
+        forged = OpFrame(
+            op_id=0,
+            deps=(),
+            verb_code=VERB_CODES["STATS"],
+            body=encode_request(AllocateRequest(8, 60, Hardness.SOFT)),
+        )
+        for _ in range(2):
+            endpoint.on_datagram(encode_frame(forged), "client")
+            cluster.loop.run_until_idle()
+        assert len(replies) == 2 and replies[0] == replies[1]  # the second from the cache
+        kind, (code, _message) = parse_response_header(decode_frame(replies[0]).body)
+        assert (kind, code) == ("ERR", "MalformedFrame")
+        assert endpoint.exec_counts == {0: 1}
+        with DepotClient(cluster.addrs()[0]) as cli:
+            assert cli.stats().live_allocations == 0

@@ -26,7 +26,7 @@ from ebp.wire import (
     StoreRequest,
     TransferRequest,
     TransformRequest,
-    admit_frame,
+    VERB_TABLE,
     decode_frame,
     decode_request,
     encode_frame,
@@ -62,6 +62,21 @@ def test_all_nine_verbs_covered_by_goldens():
         "RELEASE",
         "STATS",
     }
+
+
+def test_verb_table_rows_reach_every_layer():
+    from ebp.client import DepotClient
+    from ebp.server import _HANDLERS
+
+    golden_verbs = [req.verb for req, _ in GOLDEN]
+    codes = [spec.code for spec in VERB_TABLE.values()]
+    assert len(set(codes)) == len(codes)
+    assert all(1 <= code <= 255 for code in codes)
+    for verb, spec in VERB_TABLE.items():
+        assert spec.request.verb == verb
+        assert golden_verbs.count(verb) == 1
+        assert verb in _HANDLERS
+        assert callable(getattr(DepotClient, verb.lower(), None))
 
 
 # -------------------------------------------------- randomized round-trips
@@ -243,10 +258,10 @@ def frame(op_id, deps=(), body=b""):
 def test_duplicate_returns_cached_response_without_reexecution():
     window = DedupWindow()
     f = frame(0)
-    assert admit_frame(window, f).kind == DecisionKind.EXECUTE
+    assert window.admit(f).kind == DecisionKind.EXECUTE
     window.mark_completed(0, b"OK 3\n")
     for _ in range(3):
-        decision = admit_frame(window, f)
+        decision = window.admit(f)
         assert decision.kind == DecisionKind.DUPLICATE
         assert decision.cached_response == b"OK 3\n"
 
@@ -254,11 +269,11 @@ def test_duplicate_returns_cached_response_without_reexecution():
 def test_defer_until_deps_complete():
     window = DedupWindow()
     dependent = frame(1, deps=(0,))
-    decision = admit_frame(window, dependent)
+    decision = window.admit(dependent)
     assert decision.kind == DecisionKind.DEFER
     assert decision.missing_deps == (0,)
     window.mark_completed(0, b"OK\n")
-    assert admit_frame(window, dependent).kind == DecisionKind.EXECUTE
+    assert window.admit(dependent).kind == DecisionKind.EXECUTE
 
 
 def test_watermark_compaction_and_stale_reject():
