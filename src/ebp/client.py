@@ -2,10 +2,12 @@
 
 A session is one TCP connection, one request at a time; callers needing
 parallelism open more sessions. Payloads larger than one frame are split into
-sequential 1 MiB pieces. There are no hidden retries: a timeout on a
-side-effecting verb surfaces as ``Timeout`` and it is the caller's decision
-what to do next (retry safety exists only in datagram mode, where the
-receiver deduplicates).
+sequential 1 MiB pieces, and move in place: a STORE piece is a view of the
+caller's data, sent after its header by gathered writes, and a LOAD piece can
+be received straight into the caller's buffer. There are no hidden retries:
+a timeout on a side-effecting verb surfaces as ``Timeout`` and it is the
+caller's decision what to do next (retry safety exists only in datagram
+mode, where the receiver deduplicates).
 
 ``session(addr, timeout_ms)`` lends an exclusive session from a small
 per-address pool; ``lors``, ``lodn`` and the depot's TRANSFER push use it so
@@ -47,9 +49,11 @@ from .wire import (
     StoreRequest,
     TransferRequest,
     TransformRequest,
+    encode_header,
     encode_request,
     parse_response_header,
     parse_uint,
+    send_parts,
 )
 
 PIECE_SIZE = 1024 * 1024
@@ -100,30 +104,42 @@ class DepotClient:
         return CapabilitySet(*self._request(req, (parse_capability,) * 3))
 
     def store(self, cap: Capability, offset: int, data: bytes) -> int:
-        """Write ``data`` at ``offset``, split into sequential 1 MiB frames."""
+        """Write ``data`` (any bytes-like object) at ``offset``, split into
+        sequential 1 MiB frames sent from views of it."""
+        view = memoryview(data).cast("B")
         written = 0
         while True:
-            piece = data[written : written + PIECE_SIZE]
+            piece = view[written : written + PIECE_SIZE]
             req = StoreRequest(cap, offset + written, piece)
             written += self._request(req, (partial(_exactly, len(piece)),))[0]
-            if written >= len(data):
+            if written >= len(view):
                 return written
 
-    def load(self, cap: Capability, offset: int, length: int) -> LoadResult:
-        """Read ``length`` bytes from ``offset`` in 1 MiB pieces."""
-        parts = []
+    def load(self, cap: Capability, offset: int, length: int, into=None) -> LoadResult:
+        """Read ``length`` bytes from ``offset`` in 1 MiB pieces.
+
+        With ``into``, a writable buffer of ``length`` bytes, each piece is
+        received straight into it and the result's ``data`` is ``into``;
+        after an error its contents are undefined. Otherwise each piece is
+        received into a buffer of its own, and ``data`` is their bytes.
+        """
+        view = None if into is None else memoryview(into).cast("B")
+        if view is not None and len(view) != length:
+            raise ValueError(f"buffer of {len(view)} bytes for a load of {length}")
+        pieces = []
         unknown = False
         fetched = 0
         while True:
             n = min(PIECE_SIZE, length - fetched)
-            _, flag, payload = self._request(
-                LoadRequest(cap, offset + fetched, n), (partial(_exactly, n), _flag), payload=True
+            piece = memoryview(bytearray(n)) if view is None else view[fetched : fetched + n]
+            _, flag = self._request(
+                LoadRequest(cap, offset + fetched, n), (partial(_exactly, n), _flag), into=piece
             )
             unknown = unknown or flag
-            parts.append(payload)
+            pieces.append(piece)
             fetched += n
             if fetched >= length:
-                return LoadResult(b"".join(parts), unknown)
+                return LoadResult(b"".join(pieces) if into is None else into, unknown)
 
     def probe(self, cap: Capability) -> ProbeInfo:
         parsers = (parse_uint, parse_uint, parse_uint, parse_hardness)
@@ -169,22 +185,26 @@ class DepotClient:
 
     # ------------------------------------------------------------- transport
 
-    def _request(self, req: Request, parsers: tuple, payload: bool = False) -> list:
-        """Send ``req``; return its reply tokens, each through its parser,
-        and with ``payload`` the payload whose length the first token gives.
-        A reply of the wrong shape raises MalformedFrame and closes the
-        session: the stream can no longer be trusted."""
+    def _request(self, req: Request, parsers: tuple, into: Optional[memoryview] = None) -> list:
+        """Send ``req``; return its reply tokens, each through its parser.
+        With ``into``, the reply's payload, whose length the first parser
+        has checked, is received into it. A reply of the wrong shape raises
+        MalformedFrame and closes the session: the stream can no longer be
+        trusted."""
         self._in_sync = False
         try:
-            self._sock.sendall(encode_request(req))
+            if isinstance(req, StoreRequest):
+                send_parts(self._sock, (encode_header(req), req.payload))
+            else:
+                self._sock.sendall(encode_request(req))
             kind, tokens = parse_response_header(self._framer.readline())
             if kind == "ERR":
                 code, message = tokens
                 self._in_sync = code not in _DESYNC_CODES
                 raise error_for_code(code, message)
             values = self._parse_reply(req, parsers, tokens)
-            if payload:
-                values.append(self._framer.read_exact(values[0]))
+            if into is not None:
+                self._framer.read_into(into)
         except socket.timeout as exc:
             raise Timeout(f"{req.verb} against {self.addr} timed out") from exc
         except OSError as exc:

@@ -26,6 +26,22 @@ capabilities. Design points that matter for correctness:
   allocation is poisoned and subsequent loads carry ``unknown_state=True``
   until a full-capacity overwrite clears the flag.
 
+* Released buffers are recycled. When an allocation is reclaimed (release,
+  sweep or preemption) its backing buffer, if at least ``_RECYCLE_MIN``
+  bytes, goes to a depot-wide free store, and a new allocation's first growth
+  takes the smallest free buffer that holds its capacity (and is at most
+  twice it), so stored bytes land in memory that is already mapped instead
+  of faulting in fresh pages. Accounting stays logical: ``bytes_in_use``
+  counts committed bytes, never the size of the buffer behind them. The free
+  store is bounded by ``free bytes + bytes_in_use <= total_capacity``; growth
+  drops free buffers (largest first) before it preempts anyone. A recycled
+  buffer never shows its previous tenant's bytes: every byte in ``[0,
+  used)`` is written by the allocation or zero, since a store that starts
+  past ``used`` zeroes the gap and a write that faults zeroes its unreached
+  tail beyond the old ``used``. A buffer is recycled only when reclamation
+  can take the allocation's lock without waiting; otherwise a store may
+  still be writing into it, and it is dropped.
+
 Conflicting stores to one allocation serialize on a per-allocation lock;
 operations on distinct allocations may proceed concurrently, and the lease
 sweeper may run concurrently with request handlers.
@@ -37,6 +53,7 @@ import hmac
 import json
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -58,6 +75,10 @@ DEFAULT_OVERBOOK_FACTOR = 1.5
 # Stores are applied in slices so that injected faults and concurrent readers
 # observe a bounded window, not the whole payload.
 _STORE_SLICE = 256 * 1024
+
+# Released buffers at least this large are kept for reuse; smaller ones go
+# back to malloc, whose own free lists serve them without new pages.
+_RECYCLE_MIN = 64 * 1024
 
 _CONFIG_FIELDS = {
     "max_alloc_size",
@@ -134,14 +155,49 @@ class _Allocation:
     expiry: float
     keys: dict  # Kind -> hex key
     used: int = 0
-    data: bytearray = field(default_factory=bytearray)
+    committed: int = 0  # bytes counted in bytes_in_use
+    buf: bytearray = field(default_factory=bytearray)  # backing; len >= committed
     poisoned: bool = False
     dead: bool = False
-    lock: threading.RLock = field(default_factory=threading.RLock)
+    # Not reentrant: reclamation must fail to take it from a thread that is
+    # mid-write, including the writing thread itself.
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property
-    def committed(self) -> int:
-        return len(self.data)
+    def data(self) -> memoryview:
+        """The committed bytes, as a view of the backing buffer."""
+        return memoryview(self.buf)[: self.committed]
+
+
+class _FreeStore:
+    """Released buffers by size, smallest first; the depot's table lock
+    guards it."""
+
+    def __init__(self):
+        self.sizes: list = []
+        self.bufs: list = []
+        self.nbytes = 0
+
+    def take(self, capacity: int) -> bytearray:
+        """The smallest buffer that holds ``capacity`` bytes and is at most
+        twice that, else a new empty one."""
+        i = bisect_left(self.sizes, capacity)
+        if i == len(self.sizes) or self.sizes[i] > 2 * capacity:
+            return bytearray()
+        self.nbytes -= self.sizes.pop(i)
+        return self.bufs.pop(i)
+
+    def put(self, buf: bytearray) -> None:
+        i = bisect_right(self.sizes, len(buf))
+        self.sizes.insert(i, len(buf))
+        self.bufs.insert(i, buf)
+        self.nbytes += len(buf)
+
+    def trim(self, room: int) -> None:
+        """Drop the largest buffers until at most ``room`` bytes are kept."""
+        while self.nbytes > room:
+            self.bufs.pop()
+            self.nbytes -= self.sizes.pop()
 
 
 class Depot:
@@ -163,6 +219,7 @@ class Depot:
         self._sum_hard = 0
         self._sum_soft = 0
         self._bytes_in_use = 0
+        self._free = _FreeStore()
         self._preemptions = {tier: 0 for tier in Hardness}
         # Test/fault-injection hook: called as hook(alloc_id, bytes_written)
         # between store slices; raising poisons the allocation.
@@ -335,21 +392,24 @@ class Depot:
         with alloc.lock:
             if alloc.dead:
                 raise NoSuchAllocation("allocation reclaimed during store")
-            new_used = max(alloc.used, offset + len(payload))
-            self._commit_growth(alloc, new_used - alloc.committed)
+            old_used = alloc.used
+            self._commit_growth(alloc, offset + len(payload))
             # Advance the watermark before writing: a fault mid-write leaves
             # the whole attempted range readable in unknown state.
-            alloc.used = new_used
-            self._write_slices(alloc, offset, payload)
+            alloc.used = max(old_used, offset + len(payload))
+            if offset > old_used:
+                alloc.buf[old_used:offset] = bytes(offset - old_used)
+            self._write_slices(alloc, offset, payload, old_used)
             if alloc.poisoned and offset == 0 and len(payload) == alloc.capacity:
                 alloc.poisoned = False  # whole-buffer overwrite re-defines the state
             if alloc.dead:
                 raise NoSuchAllocation("allocation reclaimed during store")
             return len(payload)
 
-    def _commit_growth(self, alloc: _Allocation, delta: int) -> None:
-        # Caller holds alloc.lock; bytes_in_use and alloc.data length move
+    def _commit_growth(self, alloc: _Allocation, size: int) -> None:
+        # Caller holds alloc.lock; bytes_in_use and alloc.committed move
         # together under the table lock so reclamation accounting stays exact.
+        delta = size - alloc.committed
         if delta <= 0:
             return
         with self._lock:
@@ -358,21 +418,33 @@ class Depot:
             free = self.config.total_capacity - self._bytes_in_use
             if free < delta:
                 self._preempt_locked(delta - free, alloc.hardness, exclude=alloc.alloc_id)
-            alloc.data.extend(bytes(delta))
+            if alloc.committed == 0 and alloc.capacity >= _RECYCLE_MIN:
+                alloc.buf = self._free.take(alloc.capacity)
+            if len(alloc.buf) < size:
+                alloc.buf.extend(bytes(size - len(alloc.buf)))
+            alloc.committed = size
             self._bytes_in_use += delta
+            self._free.trim(self.config.total_capacity - self._bytes_in_use)
 
-    def _write_slices(self, alloc: _Allocation, offset: int, payload: bytes) -> None:
-        view = memoryview(payload)
+    def _write_slices(self, alloc: _Allocation, offset: int, payload: bytes, defined: int) -> None:
+        """Write ``payload`` at ``offset`` a slice at a time. ``defined`` is
+        ``used`` before the write: a fault poisons the allocation and zeroes
+        the bytes past ``defined`` that the write did not reach, so a
+        recycled buffer shows nobody else's bytes."""
+        buf, view = alloc.buf, memoryview(payload)
         pos = 0
         try:
             while pos < len(payload):
                 n = min(_STORE_SLICE, len(payload) - pos)
-                alloc.data[offset + pos : offset + pos + n] = view[pos : pos + n]
+                buf[offset + pos : offset + pos + n] = view[pos : pos + n]
                 pos += n
                 if self.store_fault_hook is not None:
                     self.store_fault_hook(alloc.alloc_id, pos)
         except BaseException:
             alloc.poisoned = True
+            start, end = max(defined, offset + pos), offset + len(payload)
+            if start < end:
+                buf[start:end] = bytes(end - start)
             raise
 
     def load(self, cap: Capability, offset: int, length: int) -> LoadResult:
@@ -392,8 +464,8 @@ class Depot:
                     f"load [{offset}, {offset + length}) exceeds used {alloc.used}"
                 )
             # One copy, through a view released before the lock is: a live
-            # export would make the next growth of alloc.data fail.
-            with memoryview(alloc.data)[offset : offset + length] as view:
+            # export would make the next growth of alloc.buf fail.
+            with memoryview(alloc.buf)[offset : offset + length] as view:
                 return LoadResult(bytes(view), alloc.poisoned)
 
     def transform_write(self, cap: Capability, result: bytes) -> int:
@@ -413,9 +485,10 @@ class Depot:
         with alloc.lock:
             if alloc.dead:
                 raise NoSuchAllocation("allocation reclaimed during transform")
-            self._commit_growth(alloc, len(result) - alloc.committed)
+            old_used = alloc.used
+            self._commit_growth(alloc, len(result))
             alloc.used = len(result)
-            self._write_slices(alloc, 0, result)
+            self._write_slices(alloc, 0, result, old_used)
             if len(result) == alloc.capacity:
                 alloc.poisoned = False
             return len(result)
@@ -498,6 +571,12 @@ class Depot:
             self._sum_hard -= alloc.capacity
         elif alloc.hardness is Hardness.SOFT:
             self._sum_soft -= alloc.capacity
+        room = self.config.total_capacity - self._bytes_in_use - self._free.nbytes
+        # A lock held elsewhere means a write may still land in the buffer.
+        if _RECYCLE_MIN <= len(alloc.buf) <= room and alloc.lock.acquire(blocking=False):
+            buf, alloc.buf = alloc.buf, bytearray()
+            alloc.lock.release()
+            self._free.put(buf)
 
     # ------------------------------------------------------------ authorization
 

@@ -3,7 +3,10 @@
 Upload splits a byte sequence into fixed-size chunks and places each chunk on
 ``k`` distinct depots chosen round-robin (chunk ``i`` starts its candidate
 list at depot index ``i mod len(depots)``), so placement is deterministic
-given the same inputs. Download fetches extents in parallel, trying each
+given the same inputs. Chunks are views of the caller's bytes, or read from
+a file by offset inside the worker that stores them, so at most
+``parallelism`` chunks of a file are in memory. Download fetches extents in
+parallel, each received straight into its range of the result, trying each
 extent's replicas in list order and advancing on any error, including a
 replica whose bytes carry the unknown-state flag: flagged bytes are treated
 as a failed replica, never returned to the caller. Repair restores the
@@ -18,9 +21,11 @@ depot share a connection.
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Union
+from contextlib import contextmanager
+from typing import Iterator, Optional, Union
 
 from .capability import Hardness
 from .client import session
@@ -32,7 +37,7 @@ DEFAULT_PARALLELISM = 4
 
 
 def upload(
-    source: Union[bytes, str],
+    source: Union[bytes, bytearray, memoryview, str],
     depots: list,
     chunk_size: int,
     k: int,
@@ -43,57 +48,78 @@ def upload(
     timeout_ms: int = 5000,
     metadata: Optional[dict] = None,
 ) -> ExNode:
-    """Stripe ``source`` (bytes or a file path) across ``depots``.
+    """Stripe ``source`` (a bytes-like object or a file path) across ``depots``.
 
     Each chunk lands on ``k`` distinct depots; a depot that refuses or cannot
     be reached is skipped and the round-robin continues, failing with
     InsufficientDepots only when a chunk cannot reach ``k`` replicas after
     trying every depot.
     """
-    data = _read_source(source)
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     if k < 1 or k > len(depots):
         raise ValueError(f"replication k={k} must be between 1 and {len(depots)}")
-    if not data:
-        return make_exnode(0, [], metadata)
-    chunks = [(i, data[off : off + chunk_size]) for i, off in enumerate(range(0, len(data), chunk_size))]
-    dead: set = set()
-    dead_lock = threading.Lock()
+    with _chunks_of(source) as (total, read):
+        if not total:
+            return make_exnode(0, [], metadata)
+        dead: set = set()
+        dead_lock = threading.Lock()
 
-    def place(job) -> Extent:
-        index, chunk = job
-        candidates = [depots[(index + j) % len(depots)] for j in range(len(depots))]
-        replicas = []
-        last_error: Optional[EbpError] = None
-        for addr in candidates:
-            if len(replicas) >= k:
-                break
-            with dead_lock:
-                if addr in dead:
-                    continue
-            try:
-                with session(addr, timeout_ms) as cli:
-                    caps = cli.allocate(len(chunk), lease_s, hardness)
-                    cli.store(caps.write, 0, chunk)
-                replicas.append(
-                    Replica(depot_addr=addr, read=caps.read, write=caps.write, manage=caps.manage)
+        def place(index: int) -> Extent:
+            chunk = read(index * chunk_size, min(chunk_size, total - index * chunk_size))
+            candidates = [depots[(index + j) % len(depots)] for j in range(len(depots))]
+            replicas = []
+            last_error: Optional[EbpError] = None
+            for addr in candidates:
+                if len(replicas) >= k:
+                    break
+                with dead_lock:
+                    if addr in dead:
+                        continue
+                try:
+                    with session(addr, timeout_ms) as cli:
+                        caps = cli.allocate(len(chunk), lease_s, hardness)
+                        cli.store(caps.write, 0, chunk)
+                    replicas.append(
+                        Replica(depot_addr=addr, read=caps.read, write=caps.write, manage=caps.manage)
+                    )
+                except EbpError as exc:
+                    last_error = exc
+                    if exc.code in ("ConnectionLost", "Timeout"):
+                        with dead_lock:
+                            dead.add(addr)
+            if len(replicas) < k:
+                detail = f"; last error: {last_error.code}: {last_error.message}" if last_error else ""
+                raise InsufficientDepots(
+                    f"chunk {index} reached {len(replicas)} of {k} replicas{detail}"
                 )
-            except EbpError as exc:
-                last_error = exc
-                if exc.code in ("ConnectionLost", "Timeout"):
-                    with dead_lock:
-                        dead.add(addr)
-        if len(replicas) < k:
-            detail = f"; last error: {last_error.code}: {last_error.message}" if last_error else ""
-            raise InsufficientDepots(
-                f"chunk {index} reached {len(replicas)} of {k} replicas{detail}"
-            )
-        return Extent(offset=index * chunk_size, length=len(chunk), replicas=tuple(replicas))
+            return Extent(offset=index * chunk_size, length=len(chunk), replicas=tuple(replicas))
 
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        extents = list(pool.map(place, chunks))
-    return make_exnode(len(data), extents, metadata)
+        with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+            extents = list(pool.map(place, range(-(-total // chunk_size))))
+    return make_exnode(total, extents, metadata)
+
+
+@contextmanager
+def _chunks_of(source) -> Iterator[tuple]:
+    """``(length, read)`` of a bytes-like object or a file path, where
+    ``read(offset, n)`` gives those bytes: a view, or one ``os.pread``."""
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        view = memoryview(source).cast("B")
+        yield len(view), lambda offset, n: view[offset : offset + n]
+        return
+    fd = os.open(source, os.O_RDONLY)
+
+    def read(offset: int, n: int) -> bytes:
+        chunk = os.pread(fd, n, offset)
+        if len(chunk) != n:
+            raise ValueError(f"{source} changed size during upload")
+        return chunk
+
+    try:
+        yield os.fstat(fd).st_size, read
+    finally:
+        os.close(fd)
 
 
 def download(
@@ -107,17 +133,20 @@ def download(
     if exnode.total_length == 0:
         return b""
     buffer = bytearray(exnode.total_length)
+    view = memoryview(buffer)
 
     def fetch(extent: Extent) -> None:
+        # A replica that fails part way leaves bytes here; the next one
+        # overwrites the whole range.
+        target = view[extent.offset : extent.offset + extent.length]
         failures = []
         for replica in extent.replicas:
             try:
                 with session(replica.depot_addr, timeout_ms) as cli:
-                    result = cli.load(replica.read, replica.base, extent.length)
+                    result = cli.load(replica.read, replica.base, extent.length, into=target)
                 if result.unknown_state:
                     failures.append(f"{replica.depot_addr}: unknown-state bytes")
                     continue
-                buffer[extent.offset : extent.offset + extent.length] = result.data
                 return
             except EbpError as exc:
                 failures.append(f"{replica.depot_addr}: {exc.code}")
@@ -236,9 +265,3 @@ def _check(exnode: ExNode) -> None:
 
         raise ValidationFailed("; ".join(problems))
 
-
-def _read_source(source: Union[bytes, str]) -> bytes:
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source)
-    with open(source, "rb") as fh:
-        return fh.read()

@@ -43,6 +43,7 @@ from .wire import (
     TransferRequest,
     encode_response,
     parse_request_header,
+    send_parts,
 )
 
 logger = logging.getLogger("ebp.depot")
@@ -321,16 +322,10 @@ def _send(conn: socket.socket, resp: Response) -> bool:
     """
     payload = getattr(resp, "payload", b"")
     try:
-        if not payload:
+        if payload:
+            send_parts(conn, (encode_response(OkResponse(resp.tokens)), payload))
+        else:
             conn.sendall(encode_response(resp))
-            return True
-        parts = [memoryview(encode_response(OkResponse(resp.tokens))), memoryview(payload)]
-        while parts:
-            sent = conn.sendmsg(parts)
-            while parts and sent >= len(parts[0]):
-                sent -= len(parts.pop(0))
-            if parts:
-                parts[0] = parts[0][sent:]
         return True
     except OSError:
         return False

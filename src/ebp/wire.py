@@ -21,7 +21,10 @@ Two transports share one request vocabulary:
   OK carries a payload. Durations travel as relative times (seconds in
   requests, integer milliseconds remaining in responses): absolute values of
   one node's monotonic clock mean nothing to another node. ``Framer`` reads
-  header lines and payloads off a socket for both the depot and the client.
+  header lines and payloads off a socket for both the depot and the client,
+  a payload straight into the buffer it is bound for; ``send_parts`` writes
+  a header and its payload with gathered ``sendmsg`` calls, never copying
+  the payload next to the header.
 
 * Datagram mode: fixed binary frames ("EBP1" magic, big-endian integers)
   carrying an op id, up to 16 dependency tags, a verb code and a body that is
@@ -44,6 +47,7 @@ receiver state.
 
 from __future__ import annotations
 
+import re
 import socket
 import struct
 from dataclasses import dataclass, field, fields
@@ -128,12 +132,12 @@ class StatsRequest:
     verb = "STATS"
 
 
+# Whitespace (``str.isspace``, so Unicode spaces too), C0 controls and DEL.
+_BAD_TOKEN_CHAR = re.compile(r"[\s\x00-\x1f\x7f]")
+
+
 def _check_token(token: str) -> str:
-    if (
-        not isinstance(token, str)
-        or not token
-        or any(c.isspace() or ord(c) < 0x20 or c == "\x7f" for c in token)
-    ):
+    if not isinstance(token, str) or not token or _BAD_TOKEN_CHAR.search(token):
         raise MalformedFrame(f"bad token {token!r}")
     return token
 
@@ -209,19 +213,25 @@ VERB_TABLE = dict(
 Request = Union[tuple(spec.request for spec in VERB_TABLE.values())]
 
 
-def encode_request(req: Request) -> bytes:
-    """Encode a request; ``decode_request(encode_request(r)) == r``."""
+def encode_header(req: Request) -> bytes:
+    """The header line of ``req``, LF included; a payload is declared, not
+    included."""
     spec = VERB_TABLE.get(getattr(req, "verb", None))
     if spec is None or not isinstance(req, spec.request):
         raise TypeError(f"not a request: {req!r}")
     tokens = [req.verb]
     for name, kind in spec.fields:
-        value = getattr(req, name)
-        tokens.append(kind.encode(value))
+        tokens.append(kind.encode(getattr(req, name)))
     header = " ".join(tokens).encode("utf-8") + b"\n"
     if len(header) > MAX_HEADER_BYTES:
         raise MalformedFrame(f"header of {len(header)} bytes exceeds {MAX_HEADER_BYTES}")
-    return header + value if spec.payload else header  # value: the last field
+    return header
+
+
+def encode_request(req: Request) -> bytes:
+    """Encode a request; ``decode_request(encode_request(r)) == r``."""
+    header = encode_header(req)
+    return header + req.payload if VERB_TABLE[req.verb].payload else header
 
 
 def parse_request_header(line: bytes) -> tuple[Callable[[bytes], Request], int]:
@@ -354,19 +364,39 @@ class Framer:
                 raise ConnectionError("peer closed the connection")
             self.buf += chunk
 
+    def read_into(self, view: memoryview) -> None:
+        """Fill ``view``, a writable byte view, with the next payload bytes,
+        received straight into it."""
+        n = len(view)
+        have = min(n, len(self.buf))
+        if have:
+            view[:have] = self.buf[:have]
+            del self.buf[:have]
+        while have < n:
+            got = self.sock.recv_into(view[have:])
+            if not got:
+                raise ConnectionError("peer closed the connection mid-payload")
+            have += got
+
     def read_exact(self, n: int) -> bytearray:
         """``n`` payload bytes, received straight into a buffer of that size."""
         out = bytearray(n)
-        have = min(n, len(self.buf))
-        out[:have] = self.buf[:have]
-        del self.buf[:have]
         with memoryview(out) as view:
-            while have < n:
-                got = self.sock.recv_into(view[have:])
-                if not got:
-                    raise ConnectionError("peer closed the connection mid-payload")
-                have += got
+            self.read_into(view)
         return out
+
+
+def send_parts(sock: socket.socket, parts) -> None:
+    """Send the bytes-like ``parts`` in order by gathered ``sendmsg`` calls,
+    so a payload goes out after its header without being copied next to it.
+    Socket errors and timeouts propagate."""
+    views = [memoryview(part).cast("B") for part in parts]
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if views:
+            views[0] = views[0][sent:]
 
 
 # ------------------------------------------------------------ datagram mode

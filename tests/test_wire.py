@@ -380,3 +380,25 @@ def test_retransmit_schedule_arithmetic():
         clock += 1
     assert attempts == 8
     assert gave_up_at == 400
+
+
+def test_token_check_accepts_exactly_what_the_per_character_predicate_accepts():
+    from ebp.wire import _check_token
+
+    def old_predicate(c: str) -> bool:
+        return not (c.isspace() or ord(c) < 0x20 or c == "\x7f")
+
+    mismatches = []
+    for code in range(0x110000):
+        c = chr(code)
+        try:
+            accepted = _check_token(c) == c
+        except MalformedFrame:
+            accepted = False
+        if accepted != old_predicate(c):
+            mismatches.append(hex(code))
+    assert mismatches == []
+    assert _check_token("aéb") == "aéb"
+    for bad in ("", "a b", "a b", "a ", "\x7f", "x\x00", 7, None, b"ab"):
+        with pytest.raises(MalformedFrame):
+            _check_token(bad)
