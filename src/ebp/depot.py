@@ -29,18 +29,23 @@ capabilities. Design points that matter for correctness:
 * Released buffers are recycled. When an allocation is reclaimed (release,
   sweep or preemption) its backing buffer, if at least ``_RECYCLE_MIN``
   bytes, goes to a depot-wide free store, and a new allocation's first growth
-  takes the smallest free buffer that holds its capacity (and is at most
-  twice it), so stored bytes land in memory that is already mapped instead
-  of faulting in fresh pages. Accounting stays logical: ``bytes_in_use``
-  counts committed bytes, never the size of the buffer behind them. The free
-  store is bounded by ``free bytes + bytes_in_use <= total_capacity``; growth
-  drops free buffers (largest first) before it preempts anyone. A recycled
-  buffer never shows its previous tenant's bytes: every byte in ``[0,
-  used)`` is written by the allocation or zero, since a store that starts
-  past ``used`` zeroes the gap and a write that faults zeroes its unreached
-  tail beyond the old ``used``. A buffer is recycled only when reclamation
-  can take the allocation's lock without waiting; otherwise a store may
-  still be writing into it, and it is dropped.
+  takes a free buffer of exactly its capacity, so stored bytes land in memory
+  that is already mapped instead of faulting in fresh pages. Accounting stays
+  logical: ``bytes_in_use`` counts committed bytes, never the size of the
+  buffer behind them. Physical memory is bounded apart from it: the backing
+  buffers of live allocations (``held``, which exceeds ``bytes_in_use`` by the
+  unfilled part of recycled buffers) plus the free store stay within
+  ``total_capacity``. Growth that would pass the bound drops free buffers
+  (largest first), then gives back the unfilled parts of recycled buffers;
+  it never preempts anyone for them. An allocation that a load or store holds at
+  that moment keeps its unfilled part until a later growth finds it idle,
+  so the bound can be passed by that much for a while. A recycled buffer never
+  shows its previous tenant's bytes: every byte in ``[0, used)`` is written
+  by the allocation or zero, since a store that starts past ``used`` zeroes
+  the gap and a write that faults zeroes its unreached tail beyond the old
+  ``used``. A buffer is recycled only when reclamation can take the
+  allocation's lock without waiting; otherwise a store may still be writing
+  into it, and it is dropped.
 
 Conflicting stores to one allocation serialize on a per-allocation lock;
 operations on distinct allocations may proceed concurrently, and the lease
@@ -53,7 +58,6 @@ import hmac
 import json
 import threading
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -170,34 +174,30 @@ class _Allocation:
 
 
 class _FreeStore:
-    """Released buffers by size, smallest first; the depot's table lock
-    guards it."""
+    """Released buffers by size; the depot's table lock guards it."""
 
     def __init__(self):
-        self.sizes: list = []
-        self.bufs: list = []
+        self.bufs: dict = {}  # size -> [bytearray]
         self.nbytes = 0
 
-    def take(self, capacity: int) -> bytearray:
-        """The smallest buffer that holds ``capacity`` bytes and is at most
-        twice that, else a new empty one."""
-        i = bisect_left(self.sizes, capacity)
-        if i == len(self.sizes) or self.sizes[i] > 2 * capacity:
+    def take(self, size: int) -> bytearray:
+        """A buffer of exactly ``size`` bytes, else a new empty one."""
+        bufs = self.bufs.get(size)
+        if not bufs:
             return bytearray()
-        self.nbytes -= self.sizes.pop(i)
-        return self.bufs.pop(i)
+        if len(bufs) == 1:
+            del self.bufs[size]
+        self.nbytes -= size
+        return bufs.pop()
 
     def put(self, buf: bytearray) -> None:
-        i = bisect_right(self.sizes, len(buf))
-        self.sizes.insert(i, len(buf))
-        self.bufs.insert(i, buf)
+        self.bufs.setdefault(len(buf), []).append(buf)
         self.nbytes += len(buf)
 
     def trim(self, room: int) -> None:
         """Drop the largest buffers until at most ``room`` bytes are kept."""
-        while self.nbytes > room:
-            self.bufs.pop()
-            self.nbytes -= self.sizes.pop()
+        while self.bufs and self.nbytes > room:
+            self.take(max(self.bufs))
 
 
 class Depot:
@@ -219,6 +219,7 @@ class Depot:
         self._sum_hard = 0
         self._sum_soft = 0
         self._bytes_in_use = 0
+        self._held = 0  # sum of len(alloc.buf) over the table
         self._free = _FreeStore()
         self._preemptions = {tier: 0 for tier in Hardness}
         # Test/fault-injection hook: called as hook(alloc_id, bytes_written)
@@ -415,16 +416,36 @@ class Depot:
         with self._lock:
             if alloc.dead:
                 raise NoSuchAllocation("allocation reclaimed during store")
-            free = self.config.total_capacity - self._bytes_in_use
+            total = self.config.total_capacity
+            free = total - self._bytes_in_use
             if free < delta:
                 self._preempt_locked(delta - free, alloc.hardness, exclude=alloc.alloc_id)
             if alloc.committed == 0 and alloc.capacity >= _RECYCLE_MIN:
                 alloc.buf = self._free.take(alloc.capacity)
-            if len(alloc.buf) < size:
-                alloc.buf.extend(bytes(size - len(alloc.buf)))
+                self._held += len(alloc.buf)
+            grow = size - len(alloc.buf)
+            if grow > 0:
+                self._free.trim(total - self._held - grow)
+                if self._held + grow > total:
+                    self._shed_locked(self._held + grow - total)
+                alloc.buf.extend(bytes(grow))
+                self._held += grow
             alloc.committed = size
             self._bytes_in_use += delta
-            self._free.trim(self.config.total_capacity - self._bytes_in_use)
+
+    def _shed_locked(self, excess: int) -> None:
+        """Give back the unfilled parts of recycled buffers, largest first,
+        until ``excess`` bytes are gone. An allocation whose lock is held (a
+        load or store in progress) keeps its buffer."""
+        for alloc in sorted(self._table.values(), key=lambda a: a.committed - len(a.buf)):
+            slack = len(alloc.buf) - alloc.committed
+            if excess <= 0 or slack == 0:
+                return
+            if alloc.lock.acquire(blocking=False):
+                alloc.buf = alloc.buf[: alloc.committed]
+                alloc.lock.release()
+                self._held -= slack
+                excess -= slack
 
     def _write_slices(self, alloc: _Allocation, offset: int, payload: bytes, defined: int) -> None:
         """Write ``payload`` at ``offset`` a slice at a time. ``defined`` is
@@ -571,7 +592,8 @@ class Depot:
             self._sum_hard -= alloc.capacity
         elif alloc.hardness is Hardness.SOFT:
             self._sum_soft -= alloc.capacity
-        room = self.config.total_capacity - self._bytes_in_use - self._free.nbytes
+        self._held -= len(alloc.buf)
+        room = self.config.total_capacity - self._held - self._free.nbytes
         # A lock held elsewhere means a write may still land in the buffer.
         if _RECYCLE_MIN <= len(alloc.buf) <= room and alloc.lock.acquire(blocking=False):
             buf, alloc.buf = alloc.buf, bytearray()

@@ -30,11 +30,18 @@ def make_depot(total: int, clock=None) -> Depot:
 
 
 def check_accounting(depot: Depot) -> None:
-    """``len(alloc.data)`` is committed bytes, and free + in use stay bounded."""
+    """``len(alloc.data)`` is committed bytes, and the backing buffers of live
+    allocations plus the free store stay within capacity."""
     stats = depot.stats()
-    assert sum(len(a.data) for a in depot._table.values()) == stats.bytes_in_use
-    assert sum(depot._free.sizes) == depot._free.nbytes
-    assert depot._free.nbytes + stats.bytes_in_use <= depot.config.total_capacity
+    allocs = depot._table.values()
+    assert sum(len(a.data) for a in allocs) == stats.bytes_in_use
+    assert sum(len(a.buf) for a in allocs) == depot._held >= stats.bytes_in_use
+    assert sum(len(b) for b in free_buffers(depot)) == depot._free.nbytes
+    assert depot._free.nbytes + depot._held <= depot.config.total_capacity
+
+
+def free_buffers(depot: Depot) -> list:
+    return [buf for bufs in depot._free.bufs.values() for buf in bufs]
 
 
 def test_released_buffer_is_reused_and_its_bytes_never_show():
@@ -88,7 +95,7 @@ def test_small_buffers_and_poor_fits_are_not_recycled():
     depot.release(big.manage)
     half = depot.allocate(2 * _RECYCLE_MIN - 1, 600, Hardness.SOFT)
     depot.store(half.write, 0, b"h")
-    assert depot._free.nbytes == 4 * _RECYCLE_MIN  # more than twice the capacity: kept free
+    assert depot._free.nbytes == 4 * _RECYCLE_MIN  # not an exact fit: kept free
 
 
 def test_growth_drops_free_buffers_before_preempting_anyone():
@@ -110,6 +117,79 @@ def test_growth_drops_free_buffers_before_preempting_anyone():
     assert depot._free.nbytes == size
     assert depot.stats().preemptions[Hardness.BEST_EFFORT] == 0
     assert depot.load(victim.read, 0, size).data == b"v" * size
+
+
+def test_unfilled_recycled_buffers_are_given_back_before_memory_passes_capacity():
+    # Each round fills and releases most of the depot, which refills the free
+    # store, then stores one byte into new best-effort allocations, each of
+    # which takes a whole free buffer. Counting only committed bytes, the
+    # free store would refill every round while those buffers stay pinned.
+    total = 4 * MIB
+    depot = make_depot(total)
+    size = 256 * KIB
+    count = total // size - 1
+    tiny = []
+    for _ in range(4):
+        filled = [depot.allocate(size, 600, Hardness.SOFT) for _ in range(count)]
+        for caps in filled:
+            depot.store(caps.write, 0, b"f" * size)
+            check_accounting(depot)
+        for caps in filled:
+            depot.release(caps.manage)
+            check_accounting(depot)
+        assert depot._free.nbytes >= (count - 1) * size
+        for _ in range(count):
+            caps = depot.allocate(size, 600, Hardness.BEST_EFFORT)
+            depot.store(caps.write, 0, b"x")
+            check_accounting(depot)
+            tiny.append(caps)
+    # The last round's buffers are still held, every earlier one was given back.
+    assert [len(depot._table[c.write.alloc_id].buf) for c in tiny[:-count]] == [1] * 3 * count
+    assert depot.stats().preemptions[Hardness.BEST_EFFORT] == 0
+    for caps in tiny:
+        assert depot.load(caps.read, 0, 1).data == b"x"
+
+
+def test_an_allocation_mid_store_keeps_its_buffer_when_others_give_theirs_back():
+    total = 4 * MIB
+    size = 4 * _STORE_SLICE
+    depot = make_depot(total)
+    first = depot.allocate(size, 600, Hardness.SOFT)
+    depot.store(first.write, 0, b"\xff" * size)
+    depot.release(first.manage)
+    busy = depot.allocate(size, 600, Hardness.SOFT)
+    payload = random.Random(2).randbytes(2 * _STORE_SLICE)
+    paused, resume = threading.Event(), threading.Event()
+
+    def hook(alloc_id, written):
+        if alloc_id == busy.write.alloc_id and written == _STORE_SLICE:
+            paused.set()
+            assert resume.wait(5)
+
+    depot.store_fault_hook = hook
+    writer = threading.Thread(target=depot.store, args=(busy.write, 0, payload))
+    writer.start()
+    assert paused.wait(5)
+    busy_alloc = depot._table[busy.write.alloc_id]
+    assert len(busy_alloc.buf) == size  # a recycled buffer, half of it unfilled
+    others = [depot.allocate(size, 600, Hardness.SOFT) for _ in range(3)]
+    for caps in others:
+        depot.store(caps.write, 0, b"o" * size)
+    extra = depot.allocate(size // 2, 600, Hardness.SOFT)
+    depot.store(extra.write, 0, b"e" * (size // 2))  # past the bound: nothing idle to give back
+    assert len(busy_alloc.buf) == size
+    resume.set()
+    writer.join(5)
+    assert not writer.is_alive()
+    assert depot.load(busy.read, 0, len(payload)).data == payload
+
+    depot.release(others[0].manage)
+    later = depot.allocate(size, 600, Hardness.SOFT)
+    depot.store(later.write, 0, b"l" * size)  # now idle: its unfilled half goes
+    assert len(busy_alloc.buf) == len(payload)
+    assert depot.load(busy.read, 0, len(payload)).data == payload
+    assert depot.stats().preemptions == {tier: 0 for tier in Hardness}
+    check_accounting(depot)
 
 
 class Model:
@@ -153,7 +233,7 @@ def test_recycling_model_against_a_byte_oracle(seed):
     for step in range(400):
         live = sorted(model.bytes)
         roll = rng.random()
-        free_ids = {id(buf) for buf in depot._free.bufs}
+        free_ids = {id(buf) for buf in free_buffers(depot)}
         if roll < 0.2 or not live:
             tier = rng.choice((Hardness.SOFT, Hardness.SOFT, Hardness.BEST_EFFORT))
             try:
@@ -167,8 +247,12 @@ def test_recycling_model_against_a_byte_oracle(seed):
             alloc_id = rng.choice(live)
             alloc = depot._table[alloc_id]
             fresh = alloc.committed == 0
-            offset = rng.randrange(alloc.capacity)
-            payload = rng.randbytes(rng.randrange(alloc.capacity - offset + 1))
+            if rng.random() < 0.4:  # fill it, so its buffer fits the next of its size
+                offset, length = 0, alloc.capacity
+            else:
+                offset = rng.randrange(alloc.capacity)
+                length = rng.randrange(alloc.capacity - offset + 1)
+            payload = rng.randbytes(length)
             fault.clear()
             if payload and rng.random() < 0.3:
                 fault["at"] = rng.randrange(1, len(payload) + 1)
