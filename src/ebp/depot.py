@@ -47,6 +47,16 @@ capabilities. Design points that matter for correctness:
   allocation's lock without waiting; otherwise a store may still be writing
   into it, and it is dropped.
 
+* Bytes cross the depot once each way. ``store`` takes a bytes-like
+  payload or a lazy one that receives off the socket straight into the
+  allocation, a slice at a time, under the allocation's lock (the server
+  bounds that with its transfer timeout). ``load`` copies its range out
+  through a view released before the lock is, and the server sends that
+  copy after the lock is gone. LOAD and the TRANSFER push keep that one copy
+  on purpose: sending from a view under the lock would let a read-cap
+  holder who stops reading block the allocation's writers, and two opposite
+  TRANSFERs could each wait on the other's lock until the transfer timeout.
+
 Conflicting stores to one allocation serialize on a per-allocation lock;
 operations on distinct allocations may proceed concurrently, and the lease
 sweeper may run concurrently with request handlers.
@@ -370,14 +380,20 @@ class Depot:
 
     # ------------------------------------------------------------------ bytes
 
-    def store(self, cap: Capability, offset: int, payload: bytes) -> int:
+    def store(self, cap: Capability, offset: int, payload) -> int:
         """Write ``payload`` at ``offset``; returns bytes written.
+
+        ``payload`` is bytes-like, or lazy: an object with ``len()`` and a
+        ``readinto(view)`` that fills the view with its next bytes (the
+        server's ``wire.Payload``, received off the socket into the
+        allocation under its lock). Both go through one write loop, and a
+        refusal comes before any byte is read.
 
         ``used`` advances to ``max(used, offset + len(payload))``. Growth of
         the physically committed region may preempt lower-tier victims; if the
         shortfall cannot be covered the store fails ``ResourceExhausted``
-        before any byte is written. A fault raised mid-write poisons the
-        allocation and propagates.
+        before any byte is written. A fault raised mid-write, a lazy payload
+        cut off included, poisons the allocation and propagates.
         """
         if offset < 0:
             raise OutOfRange("negative offset")
@@ -447,26 +463,36 @@ class Depot:
                 self._held -= slack
                 excess -= slack
 
-    def _write_slices(self, alloc: _Allocation, offset: int, payload: bytes, defined: int) -> None:
-        """Write ``payload`` at ``offset`` a slice at a time. ``defined`` is
-        ``used`` before the write: a fault poisons the allocation and zeroes
-        the bytes past ``defined`` that the write did not reach, so a
-        recycled buffer shows nobody else's bytes."""
-        buf, view = alloc.buf, memoryview(payload)
+    def _write_slices(self, alloc: _Allocation, offset: int, payload, defined: int) -> None:
+        """Write ``payload`` at ``offset`` a slice at a time: copy a
+        bytes-like payload, or have a lazy one receive straight into the
+        buffer. ``defined`` is ``used`` before the write: a fault poisons the
+        allocation and zeroes the bytes past ``defined`` that the write did
+        not finish, so a recycled buffer shows nobody else's bytes."""
+        buf, size = alloc.buf, len(payload)
+        readinto = getattr(payload, "readinto", None)
+        source = None if readinto else memoryview(payload)
         pos = 0
-        try:
-            while pos < len(payload):
-                n = min(_STORE_SLICE, len(payload) - pos)
-                buf[offset + pos : offset + pos + n] = view[pos : pos + n]
-                pos += n
-                if self.store_fault_hook is not None:
-                    self.store_fault_hook(alloc.alloc_id, pos)
-        except BaseException:
-            alloc.poisoned = True
-            start, end = max(defined, offset + pos), offset + len(payload)
-            if start < end:
-                buf[start:end] = bytes(end - start)
-            raise
+        # Views of buf are released before the lock is: a live export would
+        # make the next growth of alloc.buf fail.
+        with memoryview(buf) as target:
+            try:
+                while pos < size:
+                    start, n = offset + pos, min(_STORE_SLICE, size - pos)
+                    if source is None:
+                        with target[start : start + n] as slot:
+                            readinto(slot)
+                    else:
+                        buf[start : start + n] = source[pos : pos + n]
+                    pos += n
+                    if self.store_fault_hook is not None:
+                        self.store_fault_hook(alloc.alloc_id, pos)
+            except BaseException:
+                alloc.poisoned = True
+                start, end = max(defined, offset + pos), offset + size
+                if start < end:
+                    buf[start:end] = bytes(end - start)
+                raise
 
     def load(self, cap: Capability, offset: int, length: int) -> LoadResult:
         """Read ``length`` bytes from ``offset``; never past ``used``.

@@ -53,7 +53,9 @@ def upload(
     Each chunk lands on ``k`` distinct depots; a depot that refuses or cannot
     be reached is skipped and the round-robin continues, failing with
     InsufficientDepots only when a chunk cannot reach ``k`` replicas after
-    trying every depot.
+    trying every depot. An allocation whose store fails is released, and so,
+    if the upload fails, is every replica it placed (both best-effort): no
+    exNode names them.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
@@ -64,6 +66,7 @@ def upload(
             return make_exnode(0, [], metadata)
         dead: set = set()
         dead_lock = threading.Lock()
+        placed: list = []  # (address, manage cap) of every filled replica
 
         def place(index: int) -> Extent:
             chunk = read(index * chunk_size, min(chunk_size, total - index * chunk_size))
@@ -76,15 +79,19 @@ def upload(
                 with dead_lock:
                     if addr in dead:
                         continue
+                caps = None
                 try:
                     with session(addr, timeout_ms) as cli:
                         caps = cli.allocate(len(chunk), lease_s, hardness)
                         cli.store(caps.write, 0, chunk)
+                    placed.append((addr, caps.manage))
                     replicas.append(
                         Replica(depot_addr=addr, read=caps.read, write=caps.write, manage=caps.manage)
                     )
                 except EbpError as exc:
                     last_error = exc
+                    if caps is not None:  # allocated but never filled
+                        _release([(addr, caps.manage)], timeout_ms)
                     if exc.code in ("ConnectionLost", "Timeout"):
                         with dead_lock:
                             dead.add(addr)
@@ -95,8 +102,17 @@ def upload(
                 )
             return Extent(offset=index * chunk_size, length=len(chunk), replicas=tuple(replicas))
 
-        with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+        pool = ThreadPoolExecutor(max_workers=max(1, parallelism))
+        try:
             extents = list(pool.map(place, range(-(-total // chunk_size))))
+        except BaseException:
+            # No exNode will name the replicas placed so far: let the chunks
+            # in flight finish, start no more, and give every replica back.
+            pool.shutdown(cancel_futures=True)
+            _release(placed, timeout_ms)
+            raise
+        finally:
+            pool.shutdown()
     return make_exnode(total, extents, metadata)
 
 
@@ -228,17 +244,28 @@ def repair(
 
 def release_all(exnode: ExNode, *, timeout_ms: int = 5000) -> int:
     """Best-effort release of every replica holding a manage capability."""
+    return _release(
+        [
+            (replica.depot_addr, replica.manage)
+            for extent in exnode.extents
+            for replica in extent.replicas
+            if replica.manage is not None
+        ],
+        timeout_ms,
+    )
+
+
+def _release(placed: list, timeout_ms: int) -> int:
+    """Best-effort release of ``(depot address, manage capability)`` pairs;
+    returns how many were released."""
     released = 0
-    for extent in exnode.extents:
-        for replica in extent.replicas:
-            if replica.manage is None:
-                continue
-            try:
-                with session(replica.depot_addr, timeout_ms) as cli:
-                    cli.release(replica.manage)
-                released += 1
-            except EbpError:
-                pass
+    for addr, manage in placed:
+        try:
+            with session(addr, timeout_ms) as cli:
+                cli.release(manage)
+            released += 1
+        except EbpError:
+            pass
     return released
 
 

@@ -6,9 +6,16 @@ and, for a remote destination, borrows a pooled client session to the
 destination depot and issues piecewise STOREs. The requester never carries
 payload bytes.
 
-A session whose STORE payload is cut off mid-stream marks the target
-allocation unknown-state before closing: the write happened "somehow, maybe",
-which is exactly what the flag means.
+A STORE's payload is not read before dispatch: the handler gets a lazy
+``wire.Payload`` and ``Depot.store`` receives it straight into the
+allocation, a slice at a time, under the allocation's lock. A STORE refused
+before its bytes arrive has them drained afterwards, so the session stays in
+sync. A payload cut off mid-stream leaves the target allocation unknown-state
+(the write happened "somehow, maybe", which is exactly what the flag means)
+and closes the session. Since the sender then holds the allocation lock, the
+whole payload must arrive within ``transfer_timeout_ms`` of the depot
+starting to receive it; a sender that stalls or trickles past that is
+treated as gone.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .wire import (
     ErrResponse,
     Framer,
     OkResponse,
+    Payload,
     Request,
     Response,
     TransferRequest,
@@ -253,24 +261,33 @@ class DepotServer:
         if payload_len > self.config.max_alloc_size:
             _send(conn, ErrResponse("MalformedFrame", "declared payload exceeds depot limit"))
             return False
-        try:
-            payload = framer.read_exact(payload_len) if payload_len else b""
-        except OSError:
-            # The peer vanished mid-payload: the target's contents are unknown.
-            cap = build(b"").cap
-            with suppress(EbpError):
-                self.depot.mark_unknown(cap)
-                logger.warning("STORE interrupted mid-payload; alloc=%s poisoned", cap.alloc_id)
-            return False
+        if not payload_len:
+            return _send(conn, self._dispatch(build(b"")))
+        # The handler receives the payload straight into the allocation,
+        # holding its lock, so a sender that is too slow is cut off as if gone.
+        payload = Payload(framer, payload_len, self._transfer_timeout_ms / 1000)
         req = build(payload)
-        resp = dispatch_request(req, self)
-        self._log(req, resp)
+        resp = self._dispatch(req)
+        with suppress(ConnectionLost):
+            payload.drain()  # a refused STORE left its payload unread
+        if payload.lost:
+            # A write it cut off has poisoned its target already.
+            logger.warning("STORE payload cut off; alloc=%s, session closed", req.cap.alloc_id)
+            return False
+        try:
+            conn.settimeout(None)  # receiving left a timeout on it
+        except OSError:
+            return False  # stop() closed the socket
         return _send(conn, resp)
 
-    def _log(self, req: Request, resp: Response) -> None:
+    def _dispatch(self, req: Request) -> Response:
+        """Run one request; count it, and log it at DEBUG."""
+        resp = dispatch_request(req, self)
         self.verb_counts[req.verb] += 1
-        outcome = "OK" if isinstance(resp, OkResponse) else f"ERR:{resp.code}"
-        logger.info("%s alloc=%s %s", req.verb, _alloc_id_of(req), outcome)
+        if logger.isEnabledFor(logging.DEBUG):
+            outcome = "OK" if isinstance(resp, OkResponse) else f"ERR:{resp.code}"
+            logger.debug("%s alloc=%s %s", req.verb, _alloc_id_of(req), outcome)
+        return resp
 
     # --------------------------------------------------------------- transfer
 

@@ -22,9 +22,11 @@ Two transports share one request vocabulary:
   requests, integer milliseconds remaining in responses): absolute values of
   one node's monotonic clock mean nothing to another node. ``Framer`` reads
   header lines and payloads off a socket for both the depot and the client,
-  a payload straight into the buffer it is bound for; ``send_parts`` writes
-  a header and its payload with gathered ``sendmsg`` calls, never copying
-  the payload next to the header.
+  a payload straight into the buffer it is bound for. The depot does not
+  read a STORE payload before running the request: ``Payload`` stands in
+  for the bytes, and the depot receives it into the allocation itself.
+  ``send_parts`` writes a header and its payload with gathered ``sendmsg``
+  calls, never copying the payload next to the header.
 
 * Datagram mode: fixed binary frames ("EBP1" magic, big-endian integers)
   carrying an op id, up to 16 dependency tags, a verb code and a body that is
@@ -50,11 +52,12 @@ from __future__ import annotations
 import re
 import socket
 import struct
+import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional, Union
 
 from .capability import Capability, Hardness, parse_capability, parse_hardness
-from .errors import MalformedFrame
+from .errors import ConnectionLost, MalformedFrame
 
 MAX_HEADER_BYTES = 4096  # header line including the terminating LF
 MAX_U64 = 2**64 - 1
@@ -75,7 +78,7 @@ class StoreRequest:
     verb = "STORE"
     cap: Capability
     offset: int
-    payload: bytes
+    payload: bytes  # or, on the depot, a Payload not yet received
 
 
 @dataclass(frozen=True)
@@ -237,9 +240,9 @@ def encode_request(req: Request) -> bytes:
 def parse_request_header(line: bytes) -> tuple[Callable[[bytes], Request], int]:
     """Parse one header line (without payload).
 
-    Returns ``(build, payload_len)``: read exactly ``payload_len`` payload
-    bytes from the transport and call ``build(payload)`` to finish the
-    request. Raises MalformedFrame on any grammar violation.
+    Returns ``(build, payload_len)``: call ``build(payload)`` with the
+    ``payload_len`` payload bytes, or a ``Payload`` that will receive them,
+    to finish the request. Raises MalformedFrame on any grammar violation.
     """
     if len(line) > MAX_HEADER_BYTES:
         raise MalformedFrame(f"header of {len(line)} bytes exceeds {MAX_HEADER_BYTES}")
@@ -364,16 +367,26 @@ class Framer:
                 raise ConnectionError("peer closed the connection")
             self.buf += chunk
 
-    def read_into(self, view: memoryview) -> None:
+    def read_into(self, view: memoryview, deadline: Optional[float] = None) -> None:
         """Fill ``view``, a writable byte view, with the next payload bytes,
-        received straight into it."""
+        received straight into it. With ``deadline``, a ``time.monotonic()``
+        instant, no receive waits past it: a late one raises TimeoutError."""
         n = len(view)
         have = min(n, len(self.buf))
         if have:
-            view[:have] = self.buf[:have]
+            with memoryview(self.buf) as buffered:
+                view[:have] = buffered[:have]
             del self.buf[:have]
         while have < n:
-            got = self.sock.recv_into(view[have:])
+            if deadline is not None:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError("payload not received in time")
+                self.sock.settimeout(left)
+            # Released even when recv fails, so no export of the caller's
+            # buffer outlives this call in a traceback.
+            with view[have:] as rest:
+                got = self.sock.recv_into(rest)
             if not got:
                 raise ConnectionError("peer closed the connection mid-payload")
             have += got
@@ -384,6 +397,50 @@ class Framer:
         with memoryview(out) as view:
             self.read_into(view)
         return out
+
+
+class Payload:
+    """A request payload still on the wire: ``len()`` bytes that
+    ``readinto`` receives in order, straight into the caller's view.
+
+    The depot's server hands one to ``build`` in place of the bytes, so a
+    STORE lands in the allocation with no buffer in between. The whole
+    payload must arrive within ``timeout_s`` of the first ``readinto``, so a
+    sender that stalls or trickles cannot hold the allocation for longer. A
+    socket error or a late payload raises ``ConnectionLost`` and sets
+    ``lost``: the stream is out of sync and its session must end. Receiving
+    leaves a timeout on the socket.
+    """
+
+    def __init__(self, framer: Framer, length: int, timeout_s: float):
+        self._framer = framer
+        self._length = length
+        self._timeout_s = timeout_s
+        self._deadline: Optional[float] = None
+        self._unread = length
+        self.lost = False
+
+    def __len__(self) -> int:
+        return self._length
+
+    def readinto(self, view: memoryview) -> None:
+        """Fill ``view`` with the next ``len(view)`` payload bytes."""
+        if self._deadline is None:
+            self._deadline = time.monotonic() + self._timeout_s
+        try:
+            self._framer.read_into(view, self._deadline)
+        except OSError as exc:
+            self.lost = True
+            raise ConnectionLost(f"payload cut off: {exc}") from None
+        self._unread -= len(view)
+
+    def drain(self) -> None:
+        """Receive and drop the bytes nobody read, such as the payload of a
+        refused STORE, so the next header starts where the stream is."""
+        if self._unread and not self.lost:
+            with memoryview(bytearray(min(self._unread, 65536))) as sink:
+                while self._unread:
+                    self.readinto(sink[: self._unread])
 
 
 def send_parts(sock: socket.socket, parts) -> None:

@@ -87,6 +87,29 @@ def test_upload_insufficient_depots(cluster):
         upload(data, cluster.addrs(), chunk_size=4096, k=2, timeout_ms=500)
 
 
+def live_allocations(cluster) -> list:
+    out = []
+    for addr in cluster.addrs():
+        with DepotClient(addr) as cli:
+            out.append(cli.stats().live_allocations)
+    return out
+
+
+def test_failed_upload_releases_every_replica_it_placed():
+    # d1 admits chunk 3 (soft pool 4500 bytes) but cannot hold its bytes.
+    with SimCluster(2, per_depot_overrides=[{}, {"total_capacity": 3000}]) as small:
+        with pytest.raises(InsufficientDepots):
+            upload(b"x" * 5000, small.addrs(), chunk_size=1000, k=2, parallelism=1)
+        assert live_allocations(small) == [0, 0]
+
+
+def test_allocation_whose_store_failed_is_released_when_another_depot_takes_the_chunk():
+    with SimCluster(3, per_depot_overrides=[{}, {"total_capacity": 3000}]) as small:
+        x = upload(b"x" * 5000, small.addrs(), chunk_size=1000, k=2, parallelism=1)
+        assert sum(live_allocations(small)) == 2 * len(x.extents)
+        assert download(x) == b"x" * 5000
+
+
 def test_upload_k_larger_than_depot_list_rejected(cluster):
     with pytest.raises(ValueError):
         upload(b"x", cluster.addrs(), chunk_size=1024, k=4)

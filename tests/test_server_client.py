@@ -409,7 +409,7 @@ def test_shutdown_closes_sessions_cleanly(server):
 
 
 def test_request_logging_one_line_per_request(server, caplog):
-    with caplog.at_level(logging.INFO, logger="ebp.depot"):
+    with caplog.at_level(logging.DEBUG, logger="ebp.depot"):
         with DepotClient(server.addr) as cli:
             caps = cli.allocate(8, 60, Hardness.SOFT)
             cli.store(caps.write, 0, b"zz")
