@@ -12,6 +12,14 @@ Two planes, one depot state:
   link. Delivery is driven by a single event loop under a seeded RNG: the
   same seed and script produce the same event log, byte for byte.
 
+  A depot keeps one ``SenderState`` per sending node, since op ids are per
+  sender session, strictly increasing from zero. A frame runs once all its
+  dependencies (that sender's op ids) have completed, and parks until then.
+  A completed op's response is cached and replayed on any later copy of the
+  frame, so retransmissions are harmless even for side-effecting verbs. The
+  sender may therefore retransmit aggressively: every 50 ms, eight attempts,
+  then give up.
+
 Lease clocks can be virtualized: with ``virtual_time=True`` every depot reads
 a shared clock that only moves when the test calls ``advance``, which also
 runs one sweep on every live depot, so lease expiry is deterministic and
@@ -32,23 +40,21 @@ from .depot import DepotConfig
 from .errors import EbpError, MalformedFrame, RemoteUnreachable, UnknownDepot
 from .server import DepotServer, dispatch_request
 from .wire import (
-    DecisionKind,
-    DedupWindow,
     ErrResponse,
     OpFrame,
-    RETRANSMIT_INTERVAL_MS,
     Request,
-    RetransmitAction,
     VERB_CODES,
     decode_frame,
     decode_request,
     encode_frame,
     encode_request,
     encode_response,
-    retransmit_policy,
 )
 
 DEFAULT_TOTAL_CAPACITY = 256 * 1024 * 1024
+RETRANSMIT_INTERVAL_MS = 50
+MAX_SEND_ATTEMPTS = 8
+WINDOW = 4096  # cached responses a sender state holds before it compacts
 
 
 class VirtualClock:
@@ -155,8 +161,48 @@ class Fabric:
         self.nodes[dst](data, src)
 
 
+class SenderState:
+    """A depot's receive state for one sender: the watermark, the cached
+    responses, the parked frames and the waiters.
+
+    Completed ops keep their response bytes; once more than ``WINDOW`` are
+    held the watermark advances over the contiguous completed prefix and
+    those entries are dropped (everything below the watermark is known
+    complete, but its response is gone, so a straggler copy from below is
+    answered StaleOp rather than re-executed).
+    """
+
+    def __init__(self):
+        self.watermark = 0
+        self.responses: dict = {}  # op_id -> response bytes
+        self.parked: dict = {}  # op_id -> frame waiting on a dependency
+        self.waiters: dict = {}  # missing dep op_id -> set of parked op_ids
+
+    def completed(self, op_id: int) -> bool:
+        return op_id < self.watermark or op_id in self.responses
+
+    def complete(self, op_id: int, response: bytes) -> None:
+        self.responses[op_id] = response
+        if len(self.responses) > WINDOW:
+            while self.watermark in self.responses:
+                del self.responses[self.watermark]
+                self.watermark += 1
+
+    def park(self, frame: OpFrame) -> bool:
+        """Park ``frame`` under its first missing dependency; False when it
+        has none and may run. When that dependency completes the frame is
+        woken and either runs or parks under its next missing one."""
+        for dep in frame.deps:
+            if not self.completed(dep):
+                self.parked[frame.op_id] = frame
+                self.waiters.setdefault(dep, set()).add(frame.op_id)
+                return True
+        return False
+
+
 class DatagramDepot:
-    """Datagram-mode face of one depot: dedup window, DAG deferral, dispatch.
+    """Datagram-mode face of one depot: per-sender dedup, DAG deferral,
+    dispatch.
 
     Operates on the same depot/engine pair as the stream server (when there
     is one), so both transports see one allocation table.
@@ -167,10 +213,8 @@ class DatagramDepot:
         self.depot = depot
         self.engine = engine
         self.fabric = fabric
-        self.window = DedupWindow()
-        self.pending: dict = {}  # op_id -> (frame, src)
-        self._waiters: dict = {}  # missing dep op_id -> set of pending op_ids
-        self.exec_counts: dict = {}
+        self.senders: dict = {}  # fabric node name -> SenderState
+        self.exec_counts: dict = {}  # op_id -> runs, summed over senders
         fabric.register(name, self.on_datagram)
 
     # dispatch_request duck-types against DepotServer: it needs .depot,
@@ -189,27 +233,21 @@ class DatagramDepot:
             return  # undecodable datagram: drop, best effort
         if frame.verb_code == VERB_CODES["RESPONSE"]:
             return
-        decision = self.window.admit(frame)
-        if decision.kind == DecisionKind.DUPLICATE:
-            self._reply(src, frame.op_id, decision.cached_response)
-        elif decision.kind == DecisionKind.REJECT:
+        sender = self.senders.setdefault(src, SenderState())
+        if frame.op_id in sender.responses:
+            self._reply(src, frame.op_id, sender.responses[frame.op_id])
+        elif frame.op_id < sender.watermark:
             self._reply(src, frame.op_id, encode_response(ErrResponse("StaleOp", "below window")))
-        elif decision.kind == DecisionKind.DEFER:
-            self._park(frame, src, decision.missing_deps[0])
-        else:
-            self._execute(frame, src)
+        elif frame.op_id not in sender.parked:
+            self._run(sender, src, frame)
 
-    def _park(self, frame: OpFrame, src: str, missing_dep: int) -> None:
-        # Indexed by one missing dep; when that completes the frame is
-        # re-admitted and either runs or parks under its next missing dep.
-        if frame.op_id not in self.pending:
-            self.pending[frame.op_id] = (frame, src)
-            self._waiters.setdefault(missing_dep, set()).add(frame.op_id)
-
-    def _execute(self, frame: OpFrame, src: str) -> None:
-        ready = [(frame, src)]
+    def _run(self, sender: SenderState, src: str, frame: OpFrame) -> None:
+        """Execute ``frame`` unless it parks, then every frame it wakes."""
+        ready = [frame]
         while ready:
-            current, origin = ready.pop()
+            current = ready.pop()
+            if sender.park(current):
+                continue
             try:
                 request, _ = decode_request(current.body)
                 if VERB_CODES[request.verb] != current.verb_code:
@@ -218,15 +256,10 @@ class DatagramDepot:
             except EbpError as exc:
                 response = encode_response(ErrResponse(exc.code, exc.message))
             self.exec_counts[current.op_id] = self.exec_counts.get(current.op_id, 0) + 1
-            self.window.mark_completed(current.op_id, response)
-            self._reply(origin, current.op_id, response)
-            for waiter_id in sorted(self._waiters.pop(current.op_id, ())):
-                wframe, wsrc = self.pending.pop(waiter_id)
-                decision = self.window.admit(wframe)
-                if decision.kind == DecisionKind.EXECUTE:
-                    ready.append((wframe, wsrc))
-                elif decision.kind == DecisionKind.DEFER:
-                    self._park(wframe, wsrc, decision.missing_deps[0])
+            sender.complete(current.op_id, response)
+            self._reply(src, current.op_id, response)
+            for waiter_id in sorted(sender.waiters.pop(current.op_id, ())):
+                ready.append(sender.parked.pop(waiter_id))
 
     def _reply(self, dst: str, op_id: int, response: bytes) -> None:
         frame = OpFrame(op_id=op_id, deps=(), verb_code=VERB_CODES["RESPONSE"], body=response)
@@ -238,7 +271,6 @@ class _PendingOp:
     frame_bytes: bytes
     dst: str
     attempts: int = 0
-    first_send_ms: float = 0.0
     status: str = "pending"  # pending | acked | gave_up
     response: Optional[bytes] = None
 
@@ -264,19 +296,16 @@ class DatagramClient:
         )
         op = _PendingOp(frame_bytes=encode_frame(frame), dst=dst)
         self.ops[op_id] = op
-        op.first_send_ms = self.loop.now_ms
         self._pump(op_id)
         return op_id
 
     def rearm(self, op_id: int) -> None:
         """Retry an op that gave up; the receiver's dedup keeps this safe."""
         op = self.ops[op_id]
-        if op.status == "acked":
-            return
-        op.status = "pending"
-        op.attempts = 0
-        op.first_send_ms = self.loop.now_ms
-        self._pump(op_id)
+        if op.status == "gave_up":
+            op.status = "pending"
+            op.attempts = 0
+            self._pump(op_id)
 
     def on_datagram(self, data: bytes, src: str) -> None:
         try:
@@ -291,22 +320,17 @@ class DatagramClient:
             op.response = frame.body
 
     def _pump(self, op_id: int) -> None:
+        # Fixed-interval retransmission, no backoff: the event loop fires
+        # exactly on schedule, so each call is one due send, or the give-up.
         op = self.ops[op_id]
         if op.status != "pending":
             return
-        elapsed = self.loop.now_ms - op.first_send_ms
-        action = retransmit_policy(op.attempts, elapsed)
-        if action == RetransmitAction.RESEND:
-            op.attempts += 1
-            self.fabric.send(self.name, op.dst, op.frame_bytes)
-            self.loop.schedule(RETRANSMIT_INTERVAL_MS, lambda: self._pump(op_id))
-        elif action == RetransmitAction.WAIT:
-            due = op.first_send_ms + op.attempts * RETRANSMIT_INTERVAL_MS
-            # Floor the wake delay: float jitter around the due time must not
-            # degenerate into a zero-delay self-rescheduling loop.
-            self.loop.schedule(max(0.5, due - self.loop.now_ms), lambda: self._pump(op_id))
-        else:
+        if op.attempts == MAX_SEND_ATTEMPTS:
             op.status = "gave_up"
+            return
+        op.attempts += 1
+        self.fabric.send(self.name, op.dst, op.frame_bytes)
+        self.loop.schedule(RETRANSMIT_INTERVAL_MS, lambda: self._pump(op_id))
 
     # ---- bookkeeping views
 
@@ -386,10 +410,6 @@ class SimCluster:
 
     def set_link(self, src: str, dst: str, **params) -> None:
         self.fabric.set_link(src, dst, LinkParams(**params))
-
-    def set_link_symmetric(self, a: str, b: str, **params) -> None:
-        self.fabric.set_link(a, b, LinkParams(**params))
-        self.fabric.set_link(b, a, LinkParams(**params))
 
     def datagram_client(self, name: str = "client") -> DatagramClient:
         return DatagramClient(name, self.fabric)

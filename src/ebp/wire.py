@@ -34,14 +34,11 @@ Two transports share one request vocabulary:
   the necessary order: a frame executes once all its deps have completed at
   the receiver, whatever order the network managed.
 
+  Duplicate suppression, deferral and retransmission live in ``ebp.simnet``.
+
 ``VERB_TABLE`` is the one place a verb is declared: its request dataclass,
 datagram code and the header kind of each field. Encoding, decoding and the
 verb codes all read it.
-
-Duplicate suppression lives in ``DedupWindow``: a completed op's response is
-cached and replayed on any later copy of the frame, so retransmissions are
-harmless even for side-effecting verbs. The sender may therefore retransmit
-aggressively: a fixed 50 ms interval, eight attempts, then give up.
 
 There is deliberately no flow control at this layer; encoders never consult
 receiver state.
@@ -53,7 +50,7 @@ import re
 import socket
 import struct
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, Union
 
 from .capability import Capability, Hardness, parse_capability, parse_hardness
@@ -391,13 +388,6 @@ class Framer:
                 raise ConnectionError("peer closed the connection mid-payload")
             have += got
 
-    def read_exact(self, n: int) -> bytearray:
-        """``n`` payload bytes, received straight into a buffer of that size."""
-        out = bytearray(n)
-        with memoryview(out) as view:
-            self.read_into(view)
-        return out
-
 
 class Payload:
     """A request payload still on the wire: ``len()`` bytes that
@@ -504,83 +494,3 @@ def decode_frame(data: bytes) -> OpFrame:
     verb_code = data[offset]
     return OpFrame(op_id=op_id, deps=tuple(deps), verb_code=verb_code, body=data[offset + 1 :])
 
-
-# --------------------------------------------------------- dedup bookkeeping
-
-
-class DecisionKind:
-    EXECUTE = "execute"
-    DUPLICATE = "duplicate"
-    DEFER = "defer"
-    REJECT = "reject"
-
-
-@dataclass(frozen=True)
-class Decision:
-    kind: str
-    cached_response: Optional[bytes] = None
-    missing_deps: tuple = ()
-
-
-@dataclass
-class DedupWindow:
-    """Receiver-side bookkeeping that makes retransmission harmless.
-
-    Op ids are per sender session, strictly increasing from zero. Completed
-    ops keep their response bytes; once the retained set outgrows
-    ``capacity`` the watermark advances over the contiguous completed prefix
-    and those entries are dropped (everything below the watermark is known
-    complete, but its response is gone, so a straggler copy from below is
-    rejected as stale rather than re-executed).
-    """
-
-    capacity: int = 4096
-    low_watermark: int = 0
-    completed: dict = field(default_factory=dict)
-
-    def is_completed(self, op_id: int) -> bool:
-        return op_id < self.low_watermark or op_id in self.completed
-
-    def admit(self, frame: OpFrame) -> Decision:
-        if frame.op_id in self.completed:
-            return Decision(DecisionKind.DUPLICATE, cached_response=self.completed[frame.op_id])
-        if frame.op_id < self.low_watermark:
-            return Decision(DecisionKind.REJECT)
-        missing = tuple(dep for dep in frame.deps if not self.is_completed(dep))
-        if missing:
-            return Decision(DecisionKind.DEFER, missing_deps=missing)
-        return Decision(DecisionKind.EXECUTE)
-
-    def mark_completed(self, op_id: int, response: bytes) -> None:
-        self.completed[op_id] = response
-        if len(self.completed) > self.capacity:
-            self._compact()
-
-    def _compact(self) -> None:
-        while self.low_watermark in self.completed:
-            del self.completed[self.low_watermark]
-            self.low_watermark += 1
-
-
-# ------------------------------------------------------- retransmit policy
-
-RETRANSMIT_INTERVAL_MS = 50
-MAX_SEND_ATTEMPTS = 8
-
-
-class RetransmitAction:
-    RESEND = "resend"
-    WAIT = "wait"
-    GIVE_UP = "give_up"
-
-
-def retransmit_policy(attempts_sent: int, elapsed_ms: float) -> str:
-    """Fixed-interval retransmission: 50 ms apart, at most 8 sends, then give
-    up. No backoff; duplicate suppression at the receiver makes aggressive
-    resending safe. Attempt ``i`` (0-based) is due at ``i * 50`` ms."""
-    due_ms = attempts_sent * RETRANSMIT_INTERVAL_MS
-    if elapsed_ms < due_ms:
-        return RetransmitAction.WAIT
-    if attempts_sent < MAX_SEND_ATTEMPTS:
-        return RetransmitAction.RESEND
-    return RetransmitAction.GIVE_UP

@@ -42,7 +42,9 @@ def fake_depot(answer):
                 while True:
                     line = framer.readline()
                     _build, length = parse_request_header(line)
-                    payload = bytes(framer.read_exact(length))
+                    payload = bytearray(length)
+                    with memoryview(payload) as view:
+                        framer.read_into(view)
                     received.append(line + payload)
                     if not answer(conn, line, payload):
                         return

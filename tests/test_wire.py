@@ -1,4 +1,4 @@
-"""Wire conformance: grammar golden bytes, frame exactness, dedup, retransmit."""
+"""Wire conformance: grammar golden bytes, frame exactness."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from ebp.capability import Capability, Hardness, Kind
 from ebp.errors import MalformedFrame
 from ebp.wire import (
     AllocateRequest,
-    DecisionKind,
-    DedupWindow,
     ErrResponse,
     LoadRequest,
     MAX_HEADER_BYTES,
@@ -21,7 +19,6 @@ from ebp.wire import (
     ProbeRequest,
     ReleaseRequest,
     RenewRequest,
-    RetransmitAction,
     StatsRequest,
     StoreRequest,
     TransferRequest,
@@ -33,7 +30,6 @@ from ebp.wire import (
     encode_request,
     encode_response,
     parse_response_header,
-    retransmit_policy,
 )
 
 # Golden byte fixtures, one per verb, shared with the acceptance suite.
@@ -248,90 +244,6 @@ def test_single_byte_mutations_never_silently_misparse():
             assert decoded != original
 
 
-# ----------------------------------------------------------------- dedup
-
-
-def frame(op_id, deps=(), body=b""):
-    return OpFrame(op_id=op_id, deps=tuple(deps), verb_code=2, body=body)
-
-
-def test_duplicate_returns_cached_response_without_reexecution():
-    window = DedupWindow()
-    f = frame(0)
-    assert window.admit(f).kind == DecisionKind.EXECUTE
-    window.mark_completed(0, b"OK 3\n")
-    for _ in range(3):
-        decision = window.admit(f)
-        assert decision.kind == DecisionKind.DUPLICATE
-        assert decision.cached_response == b"OK 3\n"
-
-
-def test_defer_until_deps_complete():
-    window = DedupWindow()
-    dependent = frame(1, deps=(0,))
-    decision = window.admit(dependent)
-    assert decision.kind == DecisionKind.DEFER
-    assert decision.missing_deps == (0,)
-    window.mark_completed(0, b"OK\n")
-    assert window.admit(dependent).kind == DecisionKind.EXECUTE
-
-
-def test_watermark_compaction_and_stale_reject():
-    window = DedupWindow(capacity=4)
-    for op_id in range(6):
-        assert window.admit(frame(op_id, deps=() if op_id == 0 else (op_id - 1,))).kind == (
-            DecisionKind.EXECUTE
-        )
-        window.mark_completed(op_id, b"OK\n")
-    assert window.low_watermark > 0
-    assert len(window.completed) <= 4
-    # A straggler from below the watermark has no cached response left.
-    stale = window.admit(frame(0))
-    assert stale.kind == DecisionKind.REJECT
-
-
-def test_out_of_order_execution_allowed_without_deps():
-    window = DedupWindow()
-    assert window.admit(frame(5)).kind == DecisionKind.EXECUTE
-    window.mark_completed(5, b"OK\n")
-    assert window.admit(frame(2)).kind == DecisionKind.EXECUTE
-
-
-def test_adversarial_delivery_matches_topological_oracle():
-    """Random DAG, duplicated and shuffled delivery; executed set and order
-    must respect deps and each op must execute exactly once."""
-    rng = random.Random(7)
-    n = 100
-    deps = {
-        i: tuple(sorted(rng.sample(range(i), min(rng.randrange(0, 4), i)))) for i in range(n)
-    }
-    schedule = [frame(i, deps[i]) for i in range(n) for _ in range(rng.randrange(1, 6))]
-    rng.shuffle(schedule)
-    window = DedupWindow()
-    executed = []
-    pending = []
-    queue = list(schedule)
-    while queue:
-        f = queue.pop(0)
-        decision = window.admit(f)
-        if decision.kind == DecisionKind.EXECUTE:
-            executed.append(f.op_id)
-            window.mark_completed(f.op_id, b"OK\n")
-            still = [p for p in pending if window.admit(p).kind == DecisionKind.EXECUTE]
-            for p in still:
-                executed.append(p.op_id)
-                window.mark_completed(p.op_id, b"OK\n")
-            pending = [p for p in pending if not window.is_completed(p.op_id)]
-        elif decision.kind == DecisionKind.DEFER:
-            if not window.is_completed(f.op_id) and all(p.op_id != f.op_id for p in pending):
-                pending.append(f)
-    assert sorted(executed) == list(range(n))  # exactly once each
-    seen = set()
-    for op_id in executed:
-        assert set(deps[op_id]) <= seen  # necessary order respected
-        seen.add(op_id)
-
-
 def test_no_flow_control_surface_at_this_layer():
     """The encoder is a pure function of the request: no credit, window or
     receiver-state parameter exists anywhere in the encode path."""
@@ -351,35 +263,6 @@ def test_error_codes_are_a_bijection():
 
     codes = [cls.code for cls in EbpError.__subclasses__()]
     assert len(codes) == len(set(codes))  # one class, one wire token
-
-
-# ------------------------------------------------------------- retransmit
-
-
-def test_retransmit_schedule_arithmetic():
-    # First send due immediately.
-    assert retransmit_policy(0, 0) == RetransmitAction.RESEND
-    # Response before the next interval: nothing due.
-    assert retransmit_policy(1, 20) == RetransmitAction.WAIT
-    # 120 ms of silence: sends at 0, 50, 100 -> three attempts.
-    attempts, clock = 0, 0
-    while clock <= 120:
-        if retransmit_policy(attempts, clock) == RetransmitAction.RESEND:
-            attempts += 1
-        clock += 1
-    assert attempts == 3
-    # Total loss: eight sends, then give up at ~400 ms.
-    attempts, clock = 0, 0
-    gave_up_at = None
-    while gave_up_at is None:
-        action = retransmit_policy(attempts, clock)
-        if action == RetransmitAction.RESEND:
-            attempts += 1
-        elif action == RetransmitAction.GIVE_UP:
-            gave_up_at = clock
-        clock += 1
-    assert attempts == 8
-    assert gave_up_at == 400
 
 
 def test_token_check_accepts_exactly_what_the_per_character_predicate_accepts():
