@@ -369,6 +369,15 @@ def test_defer_until_deps_complete():
         assert sender.parked == sender.waiters == {}
 
 
+def test_out_of_order_execution_allowed_without_deps():
+    with SimCluster(1) as cluster:
+        replies = deliver(cluster, [stats_frame(5), stats_frame(2)])
+        assert [op_id for op_id, _ in replies] == [5, 2]  # op 2 runs after 5, unparked
+        endpoint = cluster.handle("d0").endpoint
+        assert endpoint.exec_counts == {5: 1, 2: 1}
+        assert endpoint.senders["client"].parked == {}
+
+
 def test_watermark_compaction_and_stale_reject(monkeypatch):
     monkeypatch.setattr(simnet, "WINDOW", 4)
     with SimCluster(1) as cluster:
@@ -418,6 +427,30 @@ def test_rearm_of_a_pending_op_sends_nothing_extra():
         sent = [e[0] for e in cluster.fabric.log if e[1] == "drop-loss" and e[2] == "client"]
         assert sent == [50.0 * i for i in range(8)] + [400.0 + 50.0 * i for i in range(8)]
         assert client.ops[op].attempts == 8
+
+
+def test_retransmit_schedule_arithmetic():
+    def client_sends(latency_ms=0.0, loss_rate=0.0):
+        with SimCluster(1) as cluster:
+            client = cluster.datagram_client()
+            cluster.set_link("client", "d0", latency_ms=latency_ms, loss_rate=loss_rate)
+            cluster.set_link("d0", "client", latency_ms=latency_ms)
+            op = client.submit("d0", StatsRequest())
+            cluster.loop.run_until_idle()
+            sent = [e[0] for e in cluster.fabric.log
+                    if e[1] in ("send", "drop-loss") and e[2] == "client"]
+            return client.ops[op], sent, cluster.loop.now_ms
+
+    # First send at once; a response before the next interval stops the chain.
+    op, sent, _ = client_sends(latency_ms=10.0)
+    assert (op.status, op.attempts, sent) == ("acked", 1, [0.0])
+    # 120 ms of silence: sends at 0, 50 and 100 ms.
+    op, sent, _ = client_sends(latency_ms=60.0)
+    assert (op.status, op.attempts, sent) == ("acked", 3, [0.0, 50.0, 100.0])
+    # Total loss: eight sends 50 ms apart, then the give-up at 400 ms.
+    op, sent, now_ms = client_sends(loss_rate=1.0)
+    assert (op.status, op.attempts, sent) == ("gave_up", 8, [50.0 * i for i in range(8)])
+    assert now_ms == 400.0
 
 
 def test_two_senders_reusing_an_op_id_each_get_their_own_response():
