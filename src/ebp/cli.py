@@ -23,7 +23,7 @@ import click
 
 from . import lodn, lors
 from .capability import parse_capability
-from .client import DepotClient
+from .client import DepotClient, session
 from .depot import DepotConfig
 from .errors import EbpError
 from .exnode import read_exnode, validate, write_exnode
@@ -200,20 +200,22 @@ def stat_cmd(target, as_json):
 @operational
 def renew_cmd(exnode, extend, as_json):
     """Renew the lease of every replica in an exNode."""
-    x = read_exnode(exnode)
-    renewed = 0
-    failures = []
-    for extent in x.extents:
-        for replica in extent.replicas:
-            if replica.manage is None:
-                failures.append(f"{replica.depot_addr}: no manage capability")
-                continue
-            try:
-                with DepotClient(replica.depot_addr) as cli:
-                    cli.renew(replica.manage, extend)
-                renewed += 1
-            except EbpError as exc:
-                failures.append(f"{replica.depot_addr}: {exc.code}")
+    replicas = [r for extent in read_exnode(exnode).extents for r in extent.replicas]
+    outcomes = [f"{r.depot_addr}: no manage capability" for r in replicas]
+    by_depot: dict = {}  # depot address -> positions in ``replicas`` to renew
+    for i, replica in enumerate(replicas):
+        if replica.manage is not None:
+            by_depot.setdefault(replica.depot_addr, []).append(i)
+    for addr, positions in by_depot.items():
+        try:
+            with session(addr) as cli:
+                results = cli.renew_many([replicas[i].manage for i in positions], extend)
+        except EbpError as exc:
+            results = [exc] * len(positions)
+        for i, result in zip(positions, results):
+            outcomes[i] = f"{addr}: {result.code}" if isinstance(result, EbpError) else None
+    failures = [outcome for outcome in outcomes if outcome is not None]
+    renewed = outcomes.count(None)
     if as_json:
         click.echo(json.dumps({"renewed": renewed, "failures": failures}))
     else:

@@ -1,13 +1,24 @@
 """Typed client for the depot stream protocol.
 
-A session is one TCP connection, one request at a time; callers needing
-parallelism open more sessions. Payloads larger than one frame are split into
-sequential 1 MiB pieces, and move in place: a STORE piece is a view of the
-caller's data, sent after its header by gathered writes, and a LOAD piece can
-be received straight into the caller's buffer. There are no hidden retries:
-a timeout on a side-effecting verb surfaces as ``Timeout`` and it is the
-caller's decision what to do next (retry safety exists only in datagram
-mode, where the receiver deduplicates).
+A session is one TCP connection. A lone request is written and its reply
+read before the next request goes out; callers needing parallelism open more
+sessions. Payloads larger than one frame are split into sequential 1 MiB
+pieces, and move in place: a STORE piece is a view of the caller's data, sent
+after its header by gathered writes, and a LOAD piece can be received
+straight into the caller's buffer. There are no hidden retries: a timeout on
+a side-effecting verb surfaces as ``Timeout`` and it is the caller's decision
+what to do next (retry safety exists only in datagram mode, where the
+receiver deduplicates).
+
+``probe_many`` and ``renew_many`` send a batch: up to ``MAX_IN_FLIGHT``
+requests in one write, then their replies read in order, each through the
+same reply path as a lone request. They return one result per request, its
+value or the ``EbpError`` of its ``ERR`` line. A batch whose replies all
+arrived, ``ERR`` lines included, leaves the session in sync. One that hits
+``Timeout`` or ``ConnectionLost`` closes the session, and each request whose
+reply was not read gets such an error as its result; the answered ones keep
+theirs. A malformed reply raises ``MalformedFrame`` and closes the session,
+as it does for a lone request.
 
 ``session(addr, timeout_ms)`` lends an exclusive session from a small
 per-address pool; ``lors``, ``lodn`` and the depot's TRANSFER push use it so
@@ -29,6 +40,7 @@ import select
 import socket
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from functools import partial
 from typing import Iterator, NamedTuple, Optional
@@ -61,6 +73,10 @@ DEFAULT_TIMEOUT_MS = 5000
 IDLE_PER_ADDR = 4
 IDLE_TOTAL = 32
 IDLE_MAX_AGE_S = 30.0
+# Requests a batch writes before it reads their replies. The depot reads on
+# while it answers, and the replies of a full window fit in its socket
+# buffer, so neither side waits on the other with both buffers full.
+MAX_IN_FLIGHT = 64
 
 # Error codes after which the stream may be out of step with the depot.
 _DESYNC_CODES = frozenset(cls.code for cls in (Timeout, ConnectionLost, MalformedFrame))
@@ -96,6 +112,7 @@ class DepotClient:
         self._sock.settimeout(timeout_ms / 1000)
         self._framer = Framer(self._sock)
         self._in_sync = True  # False from a request's start until its clean end
+        self._unread: deque = deque()  # written by a batch, reply not yet read
 
     # ----------------------------------------------------------------- verbs
 
@@ -149,6 +166,18 @@ class DepotClient:
         """Returns the renewed lease's remaining lifetime in milliseconds."""
         return self._request(RenewRequest(cap, extension), (parse_uint,))[0]
 
+    def probe_many(self, caps) -> list:
+        """PROBE each of ``caps`` in one batch: a ProbeInfo, or the EbpError
+        of its ERR line, per cap, in order."""
+        return self._batch([ProbeRequest(cap) for cap in caps], lambda req: self.probe(req.cap))
+
+    def renew_many(self, caps, extension: int) -> list:
+        """RENEW each of ``caps`` by ``extension`` in one batch: the remaining
+        lifetime in milliseconds, or the EbpError of its ERR line, per cap,
+        in order."""
+        reqs = [RenewRequest(cap, extension) for cap in caps]
+        return self._batch(reqs, lambda req: self.renew(req.cap, req.extension))
+
     def release(self, cap: Capability) -> None:
         self._request(ReleaseRequest(cap), ())
 
@@ -193,14 +222,16 @@ class DepotClient:
         trusted."""
         self._in_sync = False
         try:
-            if isinstance(req, StoreRequest):
+            if self._unread:
+                self._unread.popleft()  # a batch wrote it; only its reply is left
+            elif isinstance(req, StoreRequest):
                 send_parts(self._sock, (encode_header(req), req.payload))
             else:
                 self._sock.sendall(encode_request(req))
             kind, tokens = parse_response_header(self._framer.readline())
             if kind == "ERR":
                 code, message = tokens
-                self._in_sync = code not in _DESYNC_CODES
+                self._in_sync = code not in _DESYNC_CODES and not self._unread
                 raise error_for_code(code, message)
             values = self._parse_reply(req, parsers, tokens)
             if into is not None:
@@ -209,8 +240,46 @@ class DepotClient:
             raise Timeout(f"{req.verb} against {self.addr} timed out") from exc
         except OSError as exc:
             raise ConnectionLost(f"{req.verb} against {self.addr}: {exc}") from exc
-        self._in_sync = True
+        self._in_sync = not self._unread
         return values
+
+    def _batch(self, reqs: list, answer) -> list:
+        """Write ``reqs`` ``MAX_IN_FLIGHT`` at a time, each window in one
+        write, and read each reply with ``answer(req)``, the verb's own
+        method: ``_request`` finds the request already written and only reads
+        its reply. An ERR line becomes that request's result. After a
+        Timeout or ConnectionLost the session is closed and the requests left
+        unread get an error of the same kind without waiting; a malformed
+        reply raises."""
+        results = []
+        broken: Optional[EbpError] = None
+        for start in range(0, len(reqs), MAX_IN_FLIGHT):
+            window = reqs[start : start + MAX_IN_FLIGHT]
+            if broken is None:
+                self._in_sync = False
+                try:
+                    self._sock.sendall(b"".join(map(encode_request, window)))
+                    self._unread.extend(window)
+                except socket.timeout:
+                    broken = Timeout(f"{window[0].verb} batch against {self.addr} timed out")
+                except OSError as exc:
+                    broken = ConnectionLost(f"{window[0].verb} batch against {self.addr}: {exc}")
+            for req in window:
+                if broken is not None:  # a Timeout or a ConnectionLost
+                    results.append(type(broken)(f"{req.verb} against {self.addr}: no reply"))
+                    continue
+                try:
+                    results.append(answer(req))
+                except MalformedFrame:
+                    self.close()
+                    raise
+                except EbpError as exc:
+                    results.append(exc)
+                    if exc.code in _DESYNC_CODES:
+                        broken = exc
+        if broken is not None:
+            self.close()
+        return results
 
     def _parse_reply(self, req: Request, parsers: tuple, tokens: tuple) -> list:
         try:
@@ -232,6 +301,8 @@ class DepotClient:
     # --------------------------------------------------------------- plumbing
 
     def close(self) -> None:
+        self._in_sync = False
+        self._unread.clear()
         try:
             self._sock.close()
         except OSError:

@@ -5,12 +5,17 @@ Each managed exNode carries a policy document stored beside it as
 
     {"replicas": 2, "renew_before": 5, "check_period": 1, "preferred_depots": [...]}
 
-On every tick the scheduler walks all managed exNodes: replicas whose lease
-expires within ``renew_before`` seconds are renewed, and extents below the
-replica target are repaired through the file runtime. Per-action failures are
-recorded in the tick report and never abort the loop. Ticks are idempotent in
-state: right after a tick there is nothing left to renew or repair, so a
-second tick at the same instant takes no actions.
+A tick covers all managed exNodes in three steps. First a probe pass: the
+replicas of every exNode are grouped by depot, and each depot gets all of its
+PROBEs in one batch over one pooled session. Then a renew pass over the same
+session: one batch of RENEWs for the replicas whose lease expires within
+``renew_before`` seconds. A replica is live when its PROBE, and its RENEW if
+it was due, succeeded. Last, extents below the replica target are repaired
+through the file runtime. A depot that cannot be reached costs one connection
+attempt per tick, and each of its replicas a failure line. Per-action
+failures are recorded in the tick report and never abort the loop. Ticks are
+idempotent in state: right after a tick there is nothing left to renew or
+repair, so a second tick at the same instant takes no actions.
 
 The scheduler never releases or shrinks an allocation. The exNode file is
 atomically rewritten only when repair changed its capabilities.
@@ -23,9 +28,10 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import lors
+from .capability import Capability
 from .client import session
 from .errors import EbpError, NotManaged, ValidationFailed
 from .exnode import ExNode, read_exnode, validate, write_exnode
@@ -86,6 +92,14 @@ class TickReport:
         return self.renewals + self.repairs
 
 
+class _Check(NamedTuple):
+    """One replica in a tick's probe and renew passes."""
+
+    key: tuple  # (exNode path, extent index, replica position)
+    cap: Capability  # the manage capability
+    renew_before_ms: float
+
+
 class LodnScheduler:
     """One scheduler loop over a set of adopted exNode files."""
 
@@ -140,36 +154,71 @@ class LodnScheduler:
         with self._tick_lock:  # ticks never overlap
             now = self._clock() if now is None else now
             report = TickReport()
-            for entry in list(self._entries.values()):
+            entries = list(self._entries.values())
+            by_depot: dict = {}  # depot address -> [_Check] in exNode order
+            for entry in entries:
+                before_ms = entry.policy.renew_before * 1000
+                for i, extent in enumerate(entry.exnode.extents):
+                    for pos, replica in enumerate(extent.replicas):
+                        check = _Check((entry.path, i, pos), replica.manage, before_ms)
+                        by_depot.setdefault(replica.depot_addr, []).append(check)
+            failed: dict = {}  # (path, extent index, position) -> error code
+            for addr, checks in by_depot.items():
+                self._check_depot(addr, checks, failed, report)
+            for entry in entries:
                 try:
-                    self._tick_entry(entry, report)
+                    self._settle_entry(entry, failed, report)
                 except EbpError as exc:
                     report.failures.append(f"{entry.path}: {exc.code}: {exc.message}")
                 entry.last_tick = now
             return report
 
-    def _tick_entry(self, entry: ManagedEntry, report: TickReport) -> None:
-        policy = entry.policy
+    def _check_depot(self, addr: str, checks: list, failed: dict, report: TickReport) -> None:
+        """The probe pass, then the renew pass, over one session to ``addr``;
+        records in ``failed`` the code of each replica that is not live."""
+        pending = checks  # the checks the next pass settles
+        try:
+            with session(addr, self.timeout_ms) as cli:
+                # Liveness is PROBE success. ROADMAP item 2's replica_health
+                # check plugs in here, still over this one session per depot.
+                due = []
+                for check, info in zip(pending, cli.probe_many([c.cap for c in pending])):
+                    if isinstance(info, EbpError):
+                        failed[check.key] = info.code
+                    elif info.expires_in_ms <= check.renew_before_ms:
+                        due.append(check)
+                pending = due
+                renewed = cli.renew_many([c.cap for c in due], int(self.lease_duration_s))
+                for check, result in zip(due, renewed):
+                    if isinstance(result, EbpError):
+                        failed[check.key] = result.code
+                    else:
+                        report.renewals += 1
+        except EbpError as exc:  # no session, or a malformed reply
+            for check in pending:
+                failed.setdefault(check.key, exc.code)
+
+    def _settle_entry(self, entry: ManagedEntry, failed: dict, report: TickReport) -> None:
+        """Report the replicas of ``entry`` that are not live; repair it if thin."""
         thin = False
-        for extent in entry.exnode.extents:
+        for i, extent in enumerate(entry.exnode.extents):
             live = 0
             for pos, replica in enumerate(extent.replicas):
-                try:
-                    with session(replica.depot_addr, self.timeout_ms) as cli:
-                        info = cli.probe(replica.manage)
-                        if info.expires_in_ms <= policy.renew_before * 1000:
-                            cli.renew(replica.manage, int(self.lease_duration_s))
-                            report.renewals += 1
+                code = failed.get((entry.path, i, pos))
+                if code is None:
                     live += 1
-                except EbpError as exc:
+                else:
                     report.failures.append(
                         f"{entry.path}: extent@{extent.offset} replica {pos}"
-                        f" ({replica.depot_addr}): {exc.code}"
+                        f" ({replica.depot_addr}): {code}"
                     )
-            if live < policy.replicas:
-                thin = True
-        if not thin:
-            return
+            thin = thin or live < entry.policy.replicas
+        if thin:
+            self._repair(entry, report)
+
+    def _repair(self, entry: ManagedEntry, report: TickReport) -> None:
+        """Bring every extent of ``entry`` back to its replica target."""
+        policy = entry.policy
         depots = list(policy.preferred_depots) or sorted(
             {r.depot_addr for e in entry.exnode.extents for r in e.replicas}
         )

@@ -16,6 +16,18 @@ and closes the session. Since the sender then holds the allocation lock, the
 whole payload must arrive within ``transfer_timeout_ms`` of the depot
 starting to receive it; a sender that stalls or trickles past that is
 treated as gone.
+
+A client may pipeline requests (``lodn`` sends a tick's PROBEs and RENEWs to
+a depot in batches). A reply without a payload is held back while the next
+request's whole header line is already buffered, and the held replies go out
+together in one write. They are flushed before the session could block: when
+no whole header line is buffered, before a STORE payload is read, with a
+reply that carries a payload, and when the session ends. A reply is held
+only for a request already received, so holding adds no state beyond the
+requests in the receive buffer. Sessions set ``TCP_NODELAY``: with Nagle's
+algorithm a reply written while an earlier one is still unacknowledged waits
+for that ACK, which the client delays by about 40 ms while it sends nothing,
+so each write after the first in a batch would stall.
 """
 
 from __future__ import annotations
@@ -232,24 +244,29 @@ class DepotServer:
 
     def _session(self, conn: socket.socket) -> None:
         framer = Framer(conn)
+        held: list = []  # encoded replies not yet written
         try:
-            while not self._stop.is_set() and self._serve_one(conn, framer):
+            with suppress(OSError):  # stop() may have closed it already
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while not self._stop.is_set() and self._serve_one(conn, framer, held):
                 pass
+            _flush(conn, held)
         finally:
             with self._sessions_lock:
                 self._sessions.discard(conn)
             conn.close()
 
-    def _serve_one(self, conn: socket.socket, framer: Framer) -> bool:
+    def _serve_one(self, conn: socket.socket, framer: Framer, held: list) -> bool:
         """Read, run and answer one request; False once the session must end.
 
         One request per call, so its payload and response die with the frame
-        instead of staying alive while the session idles.
+        instead of staying alive while the session idles. Its reply may be
+        left in ``held``; see ``_reply``.
         """
         try:
-            line = framer.readline()
+            line = framer.readline()  # reads the socket only when ``held`` is empty
         except MalformedFrame as exc:
-            _send(conn, ErrResponse(exc.code, exc.message))
+            _flush(conn, held, ErrResponse(exc.code, exc.message))
             return False  # stream cannot be re-synchronized
         except OSError:
             return False
@@ -257,12 +274,15 @@ class DepotServer:
             build, payload_len = parse_request_header(line)
         except MalformedFrame as exc:
             # Header fully consumed; the stream is still in sync.
-            return _send(conn, ErrResponse(exc.code, exc.message))
+            return _reply(conn, framer, held, ErrResponse(exc.code, exc.message))
         if payload_len > self.config.max_alloc_size:
-            _send(conn, ErrResponse("MalformedFrame", "declared payload exceeds depot limit"))
+            _flush(conn, held, ErrResponse("MalformedFrame", "declared payload exceeds depot limit"))
             return False
         if not payload_len:
-            return _send(conn, self._dispatch(build(b"")))
+            return _reply(conn, framer, held, self._dispatch(build(b"")))
+        # The client may wait for the held replies before it sends the payload.
+        if not _flush(conn, held):
+            return False
         # The handler receives the payload straight into the allocation,
         # holding its lock, so a sender that is too slow is cut off as if gone.
         payload = Payload(framer, payload_len, self._transfer_timeout_ms / 1000)
@@ -278,7 +298,7 @@ class DepotServer:
             conn.settimeout(None)  # receiving left a timeout on it
         except OSError:
             return False  # stop() closed the socket
-        return _send(conn, resp)
+        return _reply(conn, framer, held, resp)
 
     def _dispatch(self, req: Request) -> Response:
         """Run one request; count it, and log it at DEBUG."""
@@ -331,18 +351,36 @@ def _shut(sock: socket.socket) -> None:
     sock.close()
 
 
-def _send(conn: socket.socket, resp: Response) -> bool:
-    """Best-effort response write; a vanished peer is not an error.
+def _reply(conn: socket.socket, framer: Framer, held: list, resp: Response) -> bool:
+    """Answer one request; False once the peer has gone.
 
-    A payload goes out after its header by gathered writes, never copied
-    into one buffer with it.
+    A reply without a payload is held back in ``held`` while the next
+    request's header line is already buffered, so a pipelined batch is
+    answered in one write; otherwise it goes out now with every held reply.
     """
-    payload = getattr(resp, "payload", b"")
-    try:
+    if getattr(resp, "payload", b"") or not framer.line_ready():
+        return _flush(conn, held, resp)
+    held.append(encode_response(resp))
+    return True
+
+
+def _flush(conn: socket.socket, held: list, resp: Optional[Response] = None) -> bool:
+    """Best-effort write of the held replies, then ``resp``, in one gathered
+    write; a vanished peer is not an error, and returns False.
+
+    A payload goes out after its header, never copied into one buffer with
+    it.
+    """
+    parts = [b"".join(held)] if held else []
+    held.clear()
+    if resp is not None:
+        payload = getattr(resp, "payload", b"")
         if payload:
-            send_parts(conn, (encode_response(OkResponse(resp.tokens)), payload))
+            parts += (encode_response(OkResponse(resp.tokens)), payload)
         else:
-            conn.sendall(encode_response(resp))
+            parts.append(encode_response(resp))
+    try:
+        send_parts(conn, parts)
         return True
     except OSError:
         return False

@@ -364,6 +364,11 @@ class Framer:
                 raise ConnectionError("peer closed the connection")
             self.buf += chunk
 
+    def line_ready(self) -> bool:
+        """True when a whole header line is buffered: ``readline`` returns
+        it without reading the socket."""
+        return b"\n" in self.buf
+
     def read_into(self, view: memoryview, deadline: Optional[float] = None) -> None:
         """Fill ``view``, a writable byte view, with the next payload bytes,
         received straight into it. With ``deadline``, a ``time.monotonic()``

@@ -6,11 +6,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ebp.client import DepotClient
-from ebp.errors import NotManaged, ValidationFailed
+import ebp.client as client_mod
+import ebp.lors as lors_mod
+from ebp.client import DepotClient, session
+from ebp.errors import EbpError, NotManaged, ValidationFailed
 from ebp.exnode import read_exnode, to_json, write_exnode
-from ebp.lodn import LodnScheduler, Policy, policy_path_for, run_dir
+from ebp.lodn import LodnScheduler, Policy, TickReport, policy_path_for, run_dir
 from ebp.lors import download, upload
 from ebp.simnet import SimCluster
 
@@ -204,6 +207,102 @@ def test_managed_file_survives_many_lease_lifetimes(cluster, tmp_path):
         report = sched.tick()
         assert report.failures == []
         assert download(read_exnode(path)) == data
+
+
+# ------------------------------------------------------------ batched tick
+
+
+class PerReplicaScheduler(LodnScheduler):
+    """The oracle: a tick that makes one PROBE and, when due, one RENEW round
+    trip per replica, an exNode at a time, then repairs that exNode if thin."""
+
+    def tick(self, now=None) -> TickReport:
+        report = TickReport()
+        for entry in self.entries():
+            try:
+                thin = False
+                for extent in entry.exnode.extents:
+                    live = 0
+                    for pos, replica in enumerate(extent.replicas):
+                        try:
+                            with session(replica.depot_addr, self.timeout_ms) as cli:
+                                info = cli.probe(replica.manage)
+                                if info.expires_in_ms <= entry.policy.renew_before * 1000:
+                                    cli.renew(replica.manage, int(self.lease_duration_s))
+                                    report.renewals += 1
+                            live += 1
+                        except EbpError as exc:
+                            report.failures.append(
+                                f"{entry.path}: extent@{extent.offset} replica {pos}"
+                                f" ({replica.depot_addr}): {exc.code}"
+                            )
+                    thin = thin or live < entry.policy.replicas
+                if thin:
+                    self._repair(entry, report)
+            except EbpError as exc:
+                report.failures.append(f"{entry.path}: {exc.code}: {exc.message}")
+        return report
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    files=st.lists(
+        st.tuples(st.integers(0, 12), st.sampled_from([1, 2]), st.sampled_from([5, 15, 25])),
+        min_size=2,
+        max_size=4,
+    ),
+    dead=st.one_of(st.none(), st.integers(0, 2)),
+)
+def test_batched_tick_matches_the_per_replica_oracle(tmp_path_factory, files, dead):
+    """Each file is uploaded twice at once, one copy for each scheduler, and
+    ages for its own number of seconds before the next file's upload."""
+    base = tmp_path_factory.mktemp("tick")
+    twins = (base / "oracle", base / "batched")
+    for directory in twins:
+        directory.mkdir()
+    schedulers = []
+    with SimCluster(3, virtual_time=True) as cluster:
+        for cls in (PerReplicaScheduler, LodnScheduler):
+            schedulers.append(cls(lease_duration_s=30, timeout_ms=1000, clock=cluster.clock))
+        for i, (age, replicas, renew_before) in enumerate(files):
+            data = random.Random(i).randbytes(3000)
+            for directory, scheduler in zip(twins, schedulers):
+                path = str(directory / f"f{i}.xnd.json")
+                write_exnode(path, upload(data, cluster.addrs(), chunk_size=1024, k=2, lease_s=30))
+                scheduler.adopt(path, Policy(replicas, renew_before, 1))
+            cluster.advance(age)
+        dead_addr = None if dead is None else cluster.handle(f"d{dead}").addr
+        if dead is not None:
+            cluster.kill(f"d{dead}")
+        expected = schedulers[0].tick()
+
+        repairing = [False]
+        real_repair = lors_mod.repair
+
+        def flagged_repair(*args, **kwargs):
+            repairing[0] = True
+            try:
+                return real_repair(*args, **kwargs)
+            finally:
+                repairing[0] = False
+
+        attempts = [0]  # connections to the dead depot outside repair
+        real_connect = client_mod.socket.create_connection
+
+        def counting_connect(address, *args, **kwargs):
+            if f"{address[0]}:{address[1]}" == dead_addr and not repairing[0]:
+                attempts[0] += 1
+            return real_connect(address, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lors_mod, "repair", flagged_repair)
+            patch.setattr(client_mod.socket, "create_connection", counting_connect)
+            got = schedulers[1].tick()
+    assert got.renewals == expected.renewals
+    assert got.repairs == expected.repairs
+    oracle_dir, batched_dir = (str(directory) for directory in twins)
+    assert got.failures == [line.replace(oracle_dir, batched_dir) for line in expected.failures]
+    assert attempts[0] == (0 if dead is None else 1)
 
 
 # ------------------------------------------------------------------ daemon

@@ -28,6 +28,14 @@ from ebp.errors import (
 from ebp.nfu import ResourceBudget, TransformStatus
 from ebp.server import DepotServer
 from ebp.simnet import SimCluster
+from ebp.wire import (
+    Framer,
+    LoadRequest,
+    ProbeRequest,
+    StoreRequest,
+    encode_header,
+    encode_request,
+)
 
 
 def start_server(total=64 * 1024 * 1024, **kwargs) -> DepotServer:
@@ -498,3 +506,106 @@ def test_stop_wakes_idle_reading_and_sending_sessions():
         with sock:
             received = read_until_eof(sock)  # EOF, not the 5 s timeout
         assert len(received) < EIGHT_MIB
+
+
+# --------------------------------------------------------- pipelined sessions
+
+
+def read_replies(framer: Framer, n: int) -> list:
+    return [framer.readline() for _ in range(n)]
+
+
+def test_64_pipelined_probes_are_answered_at_once(server, client, monkeypatch):
+    caps = [client.allocate(8, 60, Hardness.SOFT).manage for _ in range(64)]
+    flushed = []  # replies per write
+    real_flush = server_mod._flush
+
+    def counting_flush(conn, held, resp=None):
+        flushed.append(len(held) + (resp is not None))
+        return real_flush(conn, held, resp)
+
+    monkeypatch.setattr(server_mod, "_flush", counting_flush)
+    with raw_connect(server.addr) as sock:
+        started = time.monotonic()
+        sock.sendall(b"".join(encode_request(ProbeRequest(cap)) for cap in caps))
+        replies = read_replies(Framer(sock), 64)
+        elapsed = time.monotonic() - started
+    assert all(reply.startswith(b"OK 8 0 ") for reply in replies)
+    assert elapsed < 0.5  # with Nagle's algorithm on, delayed ACKs stretch this to seconds
+    writes = [n for n in flushed if n]
+    assert sum(writes) == 64
+    assert len(writes) <= 4  # replies held back while more requests were buffered
+
+
+def test_a_reply_right_after_another_does_not_wait_for_an_ack(server, client):
+    # A LOAD reply goes out at once, and so does the PROBE reply after it,
+    # since no further request is buffered: two writes per exchange. With
+    # Nagle's algorithm on, the second would wait for the client's delayed
+    # ACK of the first, about 40 ms per exchange.
+    caps = client.allocate(8, 60, Hardness.SOFT)
+    client.store(caps.write, 0, b"8 bytes!")
+    pair = encode_request(LoadRequest(caps.read, 0, 8)) + encode_request(ProbeRequest(caps.manage))
+    payload = memoryview(bytearray(8))
+    with raw_connect(server.addr) as sock:
+        framer = Framer(sock)
+        started = time.monotonic()
+        for _ in range(25):
+            sock.sendall(pair)
+            assert framer.readline() == b"OK 8 0\n"
+            framer.read_into(payload)
+            assert framer.readline().startswith(b"OK 8 8 ")
+        elapsed = time.monotonic() - started
+    assert payload == b"8 bytes!"
+    assert elapsed < 0.5
+
+
+def test_held_replies_are_flushed_before_a_store_payload_is_read():
+    server = start_server(transfer_timeout_ms=3000)
+    try:
+        with DepotClient(server.addr) as cli:
+            caps = cli.allocate(16, 60, Hardness.SOFT)
+        store = StoreRequest(caps.write, 0, b"p" * 16)
+        with raw_connect(server.addr) as sock:
+            sock.settimeout(1.0)  # well within the depot's wait for the payload
+            started = time.monotonic()
+            sock.sendall(encode_request(ProbeRequest(caps.manage)) + encode_header(store))
+            framer = Framer(sock)
+            assert framer.readline().startswith(b"OK 16 0 ")  # before the payload is sent
+            sock.sendall(store.payload)
+            assert framer.readline() == b"OK 16\n"
+            assert time.monotonic() - started < 1.0
+        with DepotClient(server.addr) as cli:
+            assert cli.load(caps.read, 0, 16).data == store.payload
+    finally:
+        server.stop()
+
+
+def test_held_replies_never_outnumber_the_requests_received(server, client, monkeypatch):
+    caps = [client.allocate(8, 60, Hardness.SOFT).manage for _ in range(64)]
+    received = [0]
+    seen = []  # (replies held, requests received) after each reply
+    real_parse, real_reply = server_mod.parse_request_header, server_mod._reply
+
+    def counting_parse(line):
+        received[0] += 1
+        return real_parse(line)
+
+    def watching_reply(conn, framer, held, resp):
+        ok = real_reply(conn, framer, held, resp)
+        seen.append((len(held), received[0]))
+        return ok
+
+    monkeypatch.setattr(server_mod, "parse_request_header", counting_parse)
+    monkeypatch.setattr(server_mod, "_reply", watching_reply)
+    with raw_connect(server.addr) as sock:
+        batch = b"".join(encode_request(ProbeRequest(cap)) for cap in caps)
+        sock.sendall(batch + b"PROBE not-a-capability\n" + batch)
+        replies = read_replies(Framer(sock), 129)
+    assert replies[64].startswith(b"ERR MalformedFrame ")
+    deadline = time.monotonic() + 2
+    while len(seen) < 129 and time.monotonic() < deadline:
+        time.sleep(0.01)  # the depot notes the last reply just after sending it
+    assert len(seen) == 129
+    assert all(held <= got for held, got in seen)
+    assert max(held for held, _ in seen) > 1
+    assert seen[-1][0] == 0  # nothing is left held once the buffer is empty

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import os
 import socket
 import sys
@@ -12,10 +13,12 @@ from collections import Counter
 from contextlib import ExitStack
 
 import pytest
+from click.testing import CliRunner
 
 import ebp.client as client_mod
-from ebp.capability import Hardness
-from ebp.client import DepotClient, session
+from ebp.capability import Capability, Hardness, Kind
+from ebp.cli import main
+from ebp.client import DepotClient, ProbeInfo, session
 from ebp.errors import (
     BadCapability,
     ConnectionLost,
@@ -32,30 +35,20 @@ from ebp.simnet import SimCluster
 pool = client_mod._pool
 
 
-@pytest.fixture
-def connections(monkeypatch):
-    """Counts the connections ``ebp.client`` opens, by address."""
-    opened = Counter()
-    real = socket.create_connection
-
-    def counting(address, *args, **kwargs):
-        opened[f"{address[0]}:{address[1]}"] += 1
-        return real(address, *args, **kwargs)
-
-    monkeypatch.setattr(client_mod.socket, "create_connection", counting)
-    return opened
-
-
 class FakeDepot:
-    """A listener that meets every request line with ``behaviour``.
+    """A listener that answers the first ``answers`` requests of a session
+    as a PROBE would, and meets the next one with ``behaviour``.
 
-    ``"silent"`` never answers, ``"hangup"`` closes the connection and
+    ``"silent"`` never answers, ``"hangup"`` ends the connection and
     ``"short"`` answers ``OK 1``, a response with too few tokens for any verb
     that expects some.
     """
 
-    def __init__(self, behaviour: str):
+    PROBE_REPLY = b"OK 8 0 60000 soft\n"
+
+    def __init__(self, behaviour: str, answers: int = 0):
         self.behaviour = behaviour
+        self.answers = answers
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.addr = f"127.0.0.1:{self.listener.getsockname()[1]}"
         self.conns: list = []
@@ -74,15 +67,17 @@ class FakeDepot:
         seen = b""
         with conn:
             try:
-                while b"\n" not in seen:
+                while seen.count(b"\n") <= self.answers:
                     chunk = conn.recv(4096)
                     if not chunk:
                         return
                     seen += chunk
+                conn.sendall(self.PROBE_REPLY * self.answers)
                 if self.behaviour == "short":
                     conn.sendall(b"OK 1\n")
-                if self.behaviour != "hangup":
-                    conn.recv(1)  # hold the connection until the client drops it
+                if self.behaviour == "hangup":
+                    conn.shutdown(socket.SHUT_WR)
+                conn.recv(1)  # hold the connection until the client drops it
             except OSError:
                 pass
 
@@ -114,6 +109,40 @@ def test_tick_opens_at_most_one_connection_per_depot(tmp_path, connections):
         connections.clear()
         assert scheduler.tick().renewals == 24
         assert not connections  # the second tick reuses the first one's sessions
+
+
+def test_renew_command_opens_at_most_one_connection_per_depot(tmp_path, connections):
+    with SimCluster(3) as cluster:
+        x = upload(os.urandom(4096), cluster.addrs(), chunk_size=1024, k=2, lease_s=300)
+        path = str(tmp_path / "f.xnd.json")
+        write_exnode(path, x)
+        client_mod.drain_pool()
+        connections.clear()
+        result = CliRunner().invoke(main, ["renew", path, "--extend", "900", "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout) == {"renewed": 8, "failures": []}
+        assert set(connections) <= set(cluster.addrs())
+        assert max(connections.values()) == 1
+        with DepotClient(x.extents[0].replicas[0].depot_addr) as cli:
+            assert cli.probe(x.extents[0].replicas[0].manage).expires_in_ms > 300_000
+
+
+def test_renew_command_reports_a_dead_depot_per_replica_after_one_attempt(tmp_path, connections):
+    with SimCluster(3) as cluster:
+        x = upload(os.urandom(4096), cluster.addrs(), chunk_size=1024, k=2, lease_s=300)
+        path = str(tmp_path / "f.xnd.json")
+        write_exnode(path, x)
+        dead = cluster.handle("d1").addr
+        cluster.kill("d1")
+        client_mod.drain_pool()
+        connections.clear()
+        result = CliRunner().invoke(main, ["renew", path])
+        replicas = [r for extent in x.extents for r in extent.replicas]
+        lost = [f"{dead}: ConnectionLost" for r in replicas if r.depot_addr == dead]
+        assert result.exit_code == 1
+        assert result.stdout == f"renewed {len(replicas) - len(lost)} lease(s)\n"
+        assert result.stderr.splitlines() == lost
+        assert connections[dead] == 1
 
 
 def test_session_survives_clean_and_err_responses():
@@ -217,6 +246,57 @@ def test_restarted_depot_gets_a_fresh_session_and_no_request_twice(connections):
         assert connections == {addr: 1}  # the stale session was dropped unsent
         assert old.verb_counts == old_counts
         assert new.verb_counts == {"ALLOCATE": 1, "STORE": 1, "LOAD": 1}
+
+
+# ----------------------------------------------------------------- batches
+
+
+def test_batch_of_ok_and_err_replies_gives_a_result_each_and_stays_pooled():
+    with SimCluster(1) as cluster:
+        addr = cluster.addrs()[0]
+        with session(addr) as cli:
+            kept, gone, other = (cli.allocate(8, 60, Hardness.SOFT) for _ in range(3))
+            cli.release(gone.manage)
+            probed = cli.probe_many([kept.manage, gone.manage, other.manage])
+            renewed = cli.renew_many([gone.manage, kept.manage], 120)
+        assert [type(r) for r in probed] == [ProbeInfo, type(probed[1]), ProbeInfo]
+        assert isinstance(probed[1], (NoSuchAllocation, BadCapability))
+        assert probed[0].capacity == probed[2].capacity == 8
+        assert isinstance(renewed[0], (NoSuchAllocation, BadCapability))
+        assert 60_000 < renewed[1] <= 120_000
+        assert cli.probe_many([]) == []
+        with session(addr) as again:
+            assert again is cli  # every reply was read: the stream is in sync
+
+
+@pytest.mark.parametrize("behaviour, error", [("hangup", ConnectionLost), ("silent", Timeout)])
+@pytest.mark.parametrize("answered", [0, 2])
+def test_batch_cut_off_fails_only_the_unanswered_requests(behaviour, error, answered):
+    fake = FakeDepot(behaviour, answers=answered)
+    caps = [Capability(fake.addr, n, Kind.MANAGE, "0" * 40) for n in range(5)]
+    try:
+        with session(fake.addr, 300) as cli:
+            results = cli.probe_many(caps)
+        assert results[:answered] == [ProbeInfo(8, 0, 60000, Hardness.SOFT)] * answered
+        assert all(isinstance(r, error) for r in results[answered:])
+        assert len(results) == 5
+        assert cli._sock.fileno() == -1  # closed, not pooled
+        assert fake.addr not in pool.idle_counts()
+    finally:
+        fake.close()
+
+
+def test_malformed_reply_in_a_batch_raises_and_closes_the_session():
+    fake = FakeDepot("short", answers=1)
+    caps = [Capability(fake.addr, n, Kind.MANAGE, "0" * 40) for n in range(3)]
+    try:
+        with pytest.raises(MalformedFrame):
+            with session(fake.addr, 300) as cli:
+                cli.probe_many(caps)
+        assert cli._sock.fileno() == -1
+        assert fake.addr not in pool.idle_counts()
+    finally:
+        fake.close()
 
 
 # ------------------------------------------------------------------ bounds
