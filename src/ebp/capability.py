@@ -10,7 +10,9 @@ Canonical text form::
 
 where ``key`` is exactly 40 lowercase hex characters and ``kind`` is one of
 ``read``, ``write``, ``manage``. Parsing and formatting round-trip
-byte-identically.
+byte-identically. ``parse_capability`` keeps no cache (the depot's request
+path has one, in ``ebp.wire``); a capability builds its text once, when first
+asked for it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import enum
 import re
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MalformedFrame
 
@@ -45,11 +48,11 @@ class Hardness(enum.Enum):
 
 
 _HARDNESS_RANK = {Hardness.BEST_EFFORT: 0, Hardness.SOFT: 1, Hardness.HARD: 2}
+_TIERS = {tier.value: tier for tier in Hardness}
 
-_CAP_RE = re.compile(
-    r"^ebp://(?P<host>[A-Za-z0-9._-]+):(?P<port>\d{1,5})"
-    r"/(?P<alloc_id>\d+)/(?P<key>[0-9a-f]{40})/(?P<kind>read|write|manage)$"
-)
+# host, port, alloc_id, key, kind
+_CAP_RE = re.compile(r"ebp://([A-Za-z0-9._-]+):(\d{1,5})/(\d+)/([0-9a-f]{40})/(read|write|manage)")
+_KINDS = {kind.value: kind for kind in Kind}
 
 MAX_U64 = 2**64 - 1
 
@@ -67,6 +70,10 @@ class Capability:
     key: str  # 40 lowercase hex chars
 
     def text(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         host, port = self.depot_addr.rsplit(":", 1)
         return f"ebp://{host}:{port}/{self.alloc_id}/{self.key}/{self.kind.value}"
 
@@ -76,27 +83,23 @@ class Capability:
 
 def parse_capability(text: str) -> Capability:
     """Parse the canonical text form; raise MalformedFrame on any deviation."""
-    m = _CAP_RE.match(text)
+    m = _CAP_RE.fullmatch(text)
     if m is None:
         raise MalformedFrame(f"bad capability: {text[:80]!r}")
-    port = int(m.group("port"))
+    host, port, alloc_id, key, kind = m.groups()
+    port = int(port)
     if port > 65535:
         raise MalformedFrame(f"bad capability port: {port}")
-    alloc_id = int(m.group("alloc_id"))
+    alloc_id = int(alloc_id)
     if alloc_id > MAX_U64:
         raise MalformedFrame("alloc_id out of 64-bit range")
-    return Capability(
-        depot_addr=f"{m.group('host')}:{port}",
-        alloc_id=alloc_id,
-        kind=Kind(m.group("kind")),
-        key=m.group("key"),
-    )
+    return Capability(f"{host}:{port}", alloc_id, _KINDS[kind], key)
 
 
 def parse_hardness(token: str) -> Hardness:
     try:
-        return Hardness(token)
-    except ValueError:
+        return _TIERS[token]
+    except (KeyError, TypeError):
         raise MalformedFrame(f"bad hardness tier: {token!r}") from None
 
 

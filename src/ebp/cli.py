@@ -93,13 +93,17 @@ def _depot_list(depots: str | None) -> list:
     return addrs
 
 
+def _log_to_stderr() -> None:
+    logging.basicConfig(level=logging.INFO, format="%(name)s %(message)s", stream=sys.stderr)
+
+
 # ---------------------------------------------------------------------- ebp
 
 
 @click.group()
 def main() -> None:
     """Move files through depot storage, inspect and maintain them."""
-    logging.basicConfig(level=logging.INFO, format="%(name)s %(message)s", stream=sys.stderr)
+    _log_to_stderr()
 
 
 @main.command("put")
@@ -290,7 +294,7 @@ def lodn_run_cmd(directory, lease, ticks):
 @click.group()
 def depot_main() -> None:
     """Run depot services."""
-    logging.basicConfig(level=logging.INFO, format="%(name)s %(message)s", stream=sys.stderr)
+    _log_to_stderr()
 
 
 @depot_main.command("serve")

@@ -78,6 +78,8 @@ IDLE_MAX_AGE_S = 30.0
 # buffer, so neither side waits on the other with both buffers full.
 MAX_IN_FLIGHT = 64
 
+_PROBE_REPLY = (parse_uint, parse_uint, parse_uint, parse_hardness)
+
 # Error codes after which the stream may be out of step with the depot.
 _DESYNC_CODES = frozenset(cls.code for cls in (Timeout, ConnectionLost, MalformedFrame))
 
@@ -117,8 +119,8 @@ class DepotClient:
     # ----------------------------------------------------------------- verbs
 
     def allocate(self, capacity: int, duration: int, hardness: Hardness) -> CapabilitySet:
-        req = AllocateRequest(capacity, duration, hardness)
-        return CapabilitySet(*self._request(req, (parse_capability,) * 3))
+        args = (capacity, duration, hardness)
+        return CapabilitySet(*self._request(AllocateRequest, args, (parse_capability,) * 3))
 
     def store(self, cap: Capability, offset: int, data: bytes) -> int:
         """Write ``data`` (any bytes-like object) at ``offset``, split into
@@ -127,8 +129,8 @@ class DepotClient:
         written = 0
         while True:
             piece = view[written : written + PIECE_SIZE]
-            req = StoreRequest(cap, offset + written, piece)
-            written += self._request(req, (partial(_exactly, len(piece)),))[0]
+            args = (cap, offset + written, piece)
+            written += self._request(StoreRequest, args, (partial(_exactly, len(piece)),))[0]
             if written >= len(view):
                 return written
 
@@ -149,9 +151,8 @@ class DepotClient:
         while True:
             n = min(PIECE_SIZE, length - fetched)
             piece = memoryview(bytearray(n)) if view is None else view[fetched : fetched + n]
-            _, flag = self._request(
-                LoadRequest(cap, offset + fetched, n), (partial(_exactly, n), _flag), into=piece
-            )
+            args = (cap, offset + fetched, n)
+            _, flag = self._request(LoadRequest, args, (partial(_exactly, n), _flag), into=piece)
             unknown = unknown or flag
             pieces.append(piece)
             fetched += n
@@ -159,34 +160,33 @@ class DepotClient:
                 return LoadResult(b"".join(pieces) if into is None else into, unknown)
 
     def probe(self, cap: Capability) -> ProbeInfo:
-        parsers = (parse_uint, parse_uint, parse_uint, parse_hardness)
-        return ProbeInfo(*self._request(ProbeRequest(cap), parsers))
+        return ProbeInfo(*self._request(ProbeRequest, (cap,), _PROBE_REPLY))
 
     def renew(self, cap: Capability, extension: int) -> int:
         """Returns the renewed lease's remaining lifetime in milliseconds."""
-        return self._request(RenewRequest(cap, extension), (parse_uint,))[0]
+        return self._request(RenewRequest, (cap, extension), (parse_uint,))[0]
 
     def probe_many(self, caps) -> list:
         """PROBE each of ``caps`` in one batch: a ProbeInfo, or the EbpError
         of its ERR line, per cap, in order."""
-        return self._batch([ProbeRequest(cap) for cap in caps], lambda req: self.probe(req.cap))
+        return self._batch([ProbeRequest(cap) for cap in caps], self.probe)
 
     def renew_many(self, caps, extension: int) -> list:
         """RENEW each of ``caps`` by ``extension`` in one batch: the remaining
         lifetime in milliseconds, or the EbpError of its ERR line, per cap,
         in order."""
         reqs = [RenewRequest(cap, extension) for cap in caps]
-        return self._batch(reqs, lambda req: self.renew(req.cap, req.extension))
+        return self._batch(reqs, lambda cap: self.renew(cap, extension))
 
     def release(self, cap: Capability) -> None:
-        self._request(ReleaseRequest(cap), ())
+        self._request(ReleaseRequest, (cap,), ())
 
     def transfer(
         self, src: Capability, src_offset: int, dst: Capability, dst_offset: int, length: int
     ) -> int:
         """Ask the *source* depot (this session's depot) to push a range."""
-        req = TransferRequest(src, src_offset, dst, dst_offset, length)
-        return self._request(req, (parse_uint,))[0]
+        args = (src, src_offset, dst, dst_offset, length)
+        return self._request(TransferRequest, args, (parse_uint,))[0]
 
     def transform(
         self,
@@ -196,26 +196,27 @@ class DepotClient:
         budget: ResourceBudget,
         params: Optional[dict] = None,
     ) -> TransformResult:
-        req = TransformRequest(
-            op_name=op_name,
-            inputs=tuple(inputs),
-            outputs=tuple(outputs),
-            max_wall_ms=budget.max_wall_ms,
-            max_scratch_bytes=budget.max_scratch_bytes,
-            max_io_bytes=budget.max_io_bytes,
-            params=tuple((k, _param_text(v)) for k, v in (params or {}).items()),
+        args = (
+            op_name,
+            tuple(inputs),
+            tuple(outputs),
+            budget.max_wall_ms,
+            budget.max_scratch_bytes,
+            budget.max_io_bytes,
+            tuple((k, _param_text(v)) for k, v in (params or {}).items()),
         )
         parsers = (TransformStatus, parse_uint, parse_uint, OutputsState)
-        return TransformResult(*self._request(req, parsers))
+        return TransformResult(*self._request(TransformRequest, args, parsers))
 
     def stats(self) -> StatsInfo:
-        numbers = self._request(StatsRequest(), (parse_uint,) * 7)
+        numbers = self._request(StatsRequest, (), (parse_uint,) * 7)
         return StatsInfo(*numbers[:4], preemptions=tuple(numbers[4:]))
 
     # ------------------------------------------------------------- transport
 
-    def _request(self, req: Request, parsers: tuple, into: Optional[memoryview] = None) -> list:
-        """Send ``req``; return its reply tokens, each through its parser.
+    def _request(self, make: type, args: tuple, parsers: tuple, into=None) -> list:
+        """Send the request ``make(*args)``, unless a batch has written it
+        already, and return its reply tokens, each through its parser.
         With ``into``, the reply's payload, whose length the first parser
         has checked, is received into it. A reply of the wrong shape raises
         MalformedFrame and closes the session: the stream can no longer be
@@ -223,11 +224,13 @@ class DepotClient:
         self._in_sync = False
         try:
             if self._unread:
-                self._unread.popleft()  # a batch wrote it; only its reply is left
-            elif isinstance(req, StoreRequest):
-                send_parts(self._sock, (encode_header(req), req.payload))
+                req = self._unread.popleft()  # a batch wrote it; only its reply is left
             else:
-                self._sock.sendall(encode_request(req))
+                req = make(*args)
+                if make is StoreRequest:
+                    send_parts(self._sock, (encode_header(req), req.payload))
+                else:
+                    self._sock.sendall(encode_request(req))
             kind, tokens = parse_response_header(self._framer.readline())
             if kind == "ERR":
                 code, message = tokens
@@ -237,15 +240,15 @@ class DepotClient:
             if into is not None:
                 self._framer.read_into(into)
         except socket.timeout as exc:
-            raise Timeout(f"{req.verb} against {self.addr} timed out") from exc
+            raise Timeout(f"{make.verb} against {self.addr} timed out") from exc
         except OSError as exc:
-            raise ConnectionLost(f"{req.verb} against {self.addr}: {exc}") from exc
+            raise ConnectionLost(f"{make.verb} against {self.addr}: {exc}") from exc
         self._in_sync = not self._unread
         return values
 
     def _batch(self, reqs: list, answer) -> list:
         """Write ``reqs`` ``MAX_IN_FLIGHT`` at a time, each window in one
-        write, and read each reply with ``answer(req)``, the verb's own
+        write, and read each reply with ``answer(req.cap)``, the verb's own
         method: ``_request`` finds the request already written and only reads
         its reply. An ERR line becomes that request's result. After a
         Timeout or ConnectionLost the session is closed and the requests left
@@ -269,7 +272,7 @@ class DepotClient:
                     results.append(type(broken)(f"{req.verb} against {self.addr}: no reply"))
                     continue
                 try:
-                    results.append(answer(req))
+                    results.append(answer(req.cap))
                 except MalformedFrame:
                     self.close()
                     raise

@@ -104,9 +104,8 @@ def _release(req, server) -> tuple:
 
 
 def _probe(req, server) -> tuple:
-    info = server.depot.probe(req.cap)
-    remaining = _remaining_ms(server.depot, info.expiry)
-    return str(info.capacity), str(info.used), str(remaining), info.hardness.value
+    capacity, used, expiry, tier = server.depot.probe(req.cap)
+    return str(capacity), str(used), str(_remaining_ms(server.depot, expiry)), tier.value
 
 
 def _transform(req, server) -> tuple:

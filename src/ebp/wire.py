@@ -5,6 +5,13 @@ Two transports share one request vocabulary:
 * Stream mode: a UTF-8 header line of space-separated tokens terminated by a
   single LF, at most 4096 bytes including the LF, optionally followed by a
   raw payload whose length the header declares. Human-readable on purpose.
+  A token is one or more characters, none of them whitespace
+  (``str.isspace``, so Unicode spaces too), a C0 control or DEL; one plain
+  space separates two tokens. The request parser and the response encoder
+  each check a whole line's characters in one scan, not token by token. The
+  parser keeps the last 1024 capability texts it parsed, since a lodn tick
+  names the same ones on every pass; the cache is on the depot's request
+  path only, and a malformed text is never kept.
 
       ALLOCATE <capacity> <duration> <tier>
       STORE <write_cap> <offset> <length>        (+ <length> payload bytes)
@@ -51,13 +58,18 @@ import socket
 import struct
 import time
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
-from .capability import Capability, Hardness, parse_capability, parse_hardness
+from . import capability
+from .capability import Capability, Hardness, parse_hardness
 from .errors import ConnectionLost, MalformedFrame
 
 MAX_HEADER_BYTES = 4096  # header line including the terminating LF
 MAX_U64 = 2**64 - 1
+
+# Looked up at call time; a capability is immutable, so the hits share one.
+parse_capability = lru_cache(maxsize=1024)(capability.parse_capability)
 
 # ----------------------------------------------------------------- requests
 
@@ -136,8 +148,15 @@ class StatsRequest:
 _BAD_TOKEN_CHAR = re.compile(r"[\s\x00-\x1f\x7f]")
 
 
+def _clean(text: str) -> bool:
+    """True when no character of ``text`` but the plain space breaks a token."""
+    if text.isascii():
+        return text.isprintable()  # for ASCII: exactly ' ' to '~'
+    return _BAD_TOKEN_CHAR.search(text.replace(" ", "")) is None
+
+
 def _check_token(token: str) -> str:
-    if not isinstance(token, str) or not token or _BAD_TOKEN_CHAR.search(token):
+    if not isinstance(token, str) or not token or " " in token or not _clean(token):
         raise MalformedFrame(f"bad token {token!r}")
     return token
 
@@ -189,11 +208,13 @@ class VerbSpec(NamedTuple):
     code: int  # datagram verb code
     fields: tuple  # ((field name, _Kind), ...) in field order
     payload: bool  # the last field is the payload
+    plan: tuple  # ((field name, parse, width), ...): what the parser runs
 
 
 def _verb(request: type, code: int, *kinds: _Kind) -> tuple:
-    names = (f.name for f in fields(request))
-    return request.verb, VerbSpec(request, code, tuple(zip(names, kinds)), kinds[-1:] == (PAYLOAD,))
+    specs = tuple(zip((f.name for f in fields(request)), kinds))
+    plan = tuple((name, kind.parse, kind.width) for name, kind in specs)
+    return request.verb, VerbSpec(request, code, specs, kinds[-1:] == (PAYLOAD,), plan)
 
 
 # The one place a verb is declared: name -> VerbSpec.
@@ -240,39 +261,38 @@ def parse_request_header(line: bytes) -> tuple[Callable[[bytes], Request], int]:
     Returns ``(build, payload_len)``: call ``build(payload)`` with the
     ``payload_len`` payload bytes, or a ``Payload`` that will receive them,
     to finish the request. Raises MalformedFrame on any grammar violation.
+    One scan checks every token's characters; each field is then parsed as
+    its verb's ``VerbSpec.plan`` says.
     """
     if len(line) > MAX_HEADER_BYTES:
         raise MalformedFrame(f"header of {len(line)} bytes exceeds {MAX_HEADER_BYTES}")
     if not line.endswith(b"\n"):
         raise MalformedFrame("header not terminated by LF")
-    body = line[:-1]
-    if b"\r" in body:
-        raise MalformedFrame("carriage return in header")
     try:
-        text = body.decode("utf-8")
+        text = line[:-1].decode()
     except UnicodeDecodeError as exc:
         raise MalformedFrame("header is not valid UTF-8") from exc
     raw = text.split(" ")
-    if any(tok == "" for tok in raw):
+    if "" in raw:
         raise MalformedFrame("empty token (doubled or trailing space)")
-    for tok in raw:
-        _check_token(tok)
+    if not _clean(text):
+        raise MalformedFrame(f"bad character in header {text[:80]!r}")
     spec = VERB_TABLE.get(raw[0])
     if spec is None:
         raise MalformedFrame(f"unknown verb {raw[0]!r}")
     values = []
     pos = 1
-    for name, kind in spec.fields:
+    for name, parse, width in spec.plan:
         if pos >= len(raw):
             raise MalformedFrame(f"missing {name}")
         token = raw[pos]
         pos += 1
-        if kind.width:
-            end = pos + parse_uint(token, name) * kind.width
-            values.append(kind.parse(raw[pos:end]))
+        if width:
+            end = pos + parse_uint(token, name) * width
+            values.append(parse(raw[pos:end]))
             pos = end
         else:
-            values.append(kind.parse(token, name))
+            values.append(parse(token, name))
     if pos != len(raw):
         raise MalformedFrame(f"{len(raw) - pos} trailing tokens" if pos < len(raw) else "missing")
     if spec.payload:
@@ -314,10 +334,15 @@ Response = Union[OkResponse, ErrResponse]
 
 def encode_response(resp: Response) -> bytes:
     if isinstance(resp, OkResponse):
-        for token in resp.tokens:
-            _check_token(token)
-        line = " ".join(("OK",) + tuple(resp.tokens))
-        return line.encode("utf-8") + b"\n" + resp.payload
+        tokens = resp.tokens
+        try:
+            line = " ".join(("OK", *tokens))
+        except TypeError:
+            raise MalformedFrame(f"non-text token in {tokens!r}") from None
+        # No empty token and one space per token: no token holds a space.
+        if "" in tokens or line.count(" ") != len(tokens) or not _clean(line):
+            raise MalformedFrame(f"bad token in {tokens!r}")
+        return f"{line}\n".encode() + resp.payload
     message = " ".join(str(resp.message).split()) or "-"
     return f"ERR {_check_token(resp.code)} {message}".encode("utf-8") + b"\n"
 

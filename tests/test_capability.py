@@ -55,3 +55,48 @@ def test_format_parse_identity(host, port, alloc_id, key, kind):
 def test_malformed_capabilities_rejected(bad):
     with pytest.raises(MalformedFrame):
         parse_capability(bad)
+
+
+# The depot's request path parses through ``ebp.wire.parse_capability``,
+# which keeps the texts it parsed, up to a fixed bound.
+
+
+def test_depot_capability_cache_stays_within_its_bound():
+    from ebp.wire import parse_capability as cached
+
+    bound = cached.cache_info().maxsize
+    assert bound
+    for alloc_id in range(bound + 100):
+        cached(f"ebp://h:1/{alloc_id}/{'ab' * 20}/read")
+        assert cached.cache_info().currsize <= bound
+    assert cached.cache_info().currsize == bound
+
+
+def test_malformed_capability_is_never_cached():
+    from ebp.wire import parse_capability as cached
+
+    before = cached.cache_info()
+    for bad in ["ebp://h:1/1/short/read"] * 3 + ["ebp://h:99999/1/" + "ab" * 20 + "/read"] * 3:
+        with pytest.raises(MalformedFrame):
+            cached(bad)
+    after = cached.cache_info()
+    assert (after.hits, after.currsize) == (before.hits, before.currsize)
+
+
+@given(
+    port=st.integers(min_value=1, max_value=65535),
+    alloc_id=st.integers(min_value=0, max_value=2**64 - 1),
+    key=hex_keys,
+    kind=st.sampled_from(list(Kind)),
+    zeros=st.integers(0, 2),
+)
+def test_text_is_the_same_parsed_cached_or_built(port, alloc_id, key, kind, zeros):
+    from ebp.wire import parse_capability as cached
+
+    built = Capability(f"h.example:{port}", alloc_id, kind, key)
+    # Leading zeros parse (a port has at most 5 digits); the text form drops them.
+    port_text = str(port).rjust(min(5, len(str(port)) + zeros), "0")
+    text = f"ebp://h.example:{port_text}/{'0' * zeros}{alloc_id}/{key}/{kind.value}"
+    for parsed in (parse_capability(text), cached(text), cached(text)):
+        assert parsed == built
+        assert parsed.text() == built.text() == f"ebp://h.example:{port}/{alloc_id}/{key}/{kind.value}"

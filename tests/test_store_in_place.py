@@ -155,6 +155,10 @@ def test_interrupted_store_into_a_recycled_buffer_shows_zeros_not_the_old_tenant
         sent = _STORE_SLICE + _STORE_SLICE // 4
         raw_store(server.addr, new.write.text(), MIB, b"a" * sent).close()
         deadline = time.monotonic() + 5
+        # A LOAD that gets ahead of the raw session's STORE finds used 0.
+        while cli.probe(new.manage).used != MIB:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
         while not cli.load(new.read, 0, 1).unknown_state:
             assert time.monotonic() < deadline
             time.sleep(0.05)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ebp.capability import Capability, Hardness, Kind
 from ebp.errors import MalformedFrame
@@ -27,8 +28,10 @@ from ebp.wire import (
     decode_frame,
     decode_request,
     encode_frame,
+    encode_header,
     encode_request,
     encode_response,
+    parse_request_header,
     parse_response_header,
 )
 
@@ -285,3 +288,222 @@ def test_token_check_accepts_exactly_what_the_per_character_predicate_accepts():
     for bad in ("", "a b", "a b", "a ", "\x7f", "x\x00", 7, None, b"ab"):
         with pytest.raises(MalformedFrame):
             _check_token(bad)
+
+
+# ------------------------------------------- parser and encoder vs. oracle
+#
+# Frozen copies of the header parser and reply encoder as they were before
+# the one-scan token check: every token checked on its own by a regex, every
+# field parsed on its own, capabilities by a named-group regex. The current
+# parser and encoder must agree with them on every line: the same request,
+# or MalformedFrame from both.
+
+_OLD_BAD_TOKEN_CHAR = re.compile(r"[\s\x00-\x1f\x7f]")
+_OLD_CAP_RE = re.compile(
+    r"^ebp://(?P<host>[A-Za-z0-9._-]+):(?P<port>\d{1,5})"
+    r"/(?P<alloc_id>\d+)/(?P<key>[0-9a-f]{40})/(?P<kind>read|write|manage)$"
+)
+
+
+def _old_check_token(token):
+    if not isinstance(token, str) or not token or _OLD_BAD_TOKEN_CHAR.search(token):
+        raise MalformedFrame(f"bad token {token!r}")
+    return token
+
+
+def _old_parse_uint(token, what="token"):
+    if not token.isascii() or not token.isdigit():
+        raise MalformedFrame(f"{what} must be an unsigned integer, got {token!r}")
+    value = int(token)
+    if value > 2**64 - 1:
+        raise MalformedFrame(f"{what} exceeds 64-bit range")
+    return value
+
+
+def _old_parse_capability(text):
+    m = _OLD_CAP_RE.match(text)
+    if m is None:
+        raise MalformedFrame(f"bad capability: {text[:80]!r}")
+    port = int(m.group("port"))
+    if port > 65535:
+        raise MalformedFrame(f"bad capability port: {port}")
+    alloc_id = int(m.group("alloc_id"))
+    if alloc_id > 2**64 - 1:
+        raise MalformedFrame("alloc_id out of 64-bit range")
+    return Capability(
+        depot_addr=f"{m.group('host')}:{port}",
+        alloc_id=alloc_id,
+        kind=Kind(m.group("kind")),
+        key=m.group("key"),
+    )
+
+
+def _old_parse_hardness(token):
+    try:
+        return Hardness(token)
+    except ValueError:
+        raise MalformedFrame(f"bad hardness tier: {token!r}") from None
+
+
+# The field kinds of VERB_TABLE, by name, as the old parser parsed them.
+_OLD_FIELD_PARSE = {
+    "cap": lambda token, what: _old_parse_capability(token),
+    "uint": _old_parse_uint,
+    "payload": _old_parse_uint,
+    "tier": lambda token, what: _old_parse_hardness(token),
+    "token": lambda token, what: token,
+    "caps": lambda group: tuple(_old_parse_capability(t) for t in group),
+    "params": lambda group: tuple(zip(group[::2], group[1::2])),
+}
+
+
+def old_parse_request_header(line):
+    if len(line) > MAX_HEADER_BYTES:
+        raise MalformedFrame(f"header of {len(line)} bytes exceeds {MAX_HEADER_BYTES}")
+    if not line.endswith(b"\n"):
+        raise MalformedFrame("header not terminated by LF")
+    body = line[:-1]
+    if b"\r" in body:
+        raise MalformedFrame("carriage return in header")
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFrame("header is not valid UTF-8") from exc
+    raw = text.split(" ")
+    if any(tok == "" for tok in raw):
+        raise MalformedFrame("empty token (doubled or trailing space)")
+    for tok in raw:
+        _old_check_token(tok)
+    spec = VERB_TABLE.get(raw[0])
+    if spec is None:
+        raise MalformedFrame(f"unknown verb {raw[0]!r}")
+    values = []
+    pos = 1
+    for name, kind in spec.fields:
+        if pos >= len(raw):
+            raise MalformedFrame(f"missing {name}")
+        token = raw[pos]
+        pos += 1
+        parse = _OLD_FIELD_PARSE[kind.name]
+        if kind.width:
+            end = pos + _old_parse_uint(token, name) * kind.width
+            values.append(parse(raw[pos:end]))
+            pos = end
+        else:
+            values.append(parse(token, name))
+    if pos != len(raw):
+        raise MalformedFrame(f"{len(raw) - pos} trailing tokens" if pos < len(raw) else "missing")
+    if spec.payload:
+        length = values.pop()
+        return (lambda payload: spec.request(*values, payload)), length
+    req = spec.request(*values)
+    return (lambda _: req), 0
+
+
+def old_encode_response(resp):
+    if isinstance(resp, OkResponse):
+        for token in resp.tokens:
+            _old_check_token(token)
+        line = " ".join(("OK",) + tuple(resp.tokens))
+        return line.encode("utf-8") + b"\n" + resp.payload
+    message = " ".join(str(resp.message).split()) or "-"
+    return f"ERR {_old_check_token(resp.code)} {message}".encode("utf-8") + b"\n"
+
+
+def _outcome(parse, line):
+    try:
+        build, length = parse(line)
+    except MalformedFrame:
+        return MalformedFrame
+    return build(b""), length
+
+
+# Characters that break a token, or look as if they might: Unicode spaces,
+# CR and other controls, and some that a token may hold (C1 controls other
+# than NEL, format characters, non-ASCII letters and digits).
+_ODD_CHARS = (
+    "\t\x0b\x0c\r\x1c\x1f\x00\x7f\x85\xa0\u1680\u2003\u2028\u2029\u202f\u3000"
+    "\x80\x9f\u200b\ufeff\u00e9\u0663"
+)
+
+
+@st.composite
+def mutated_lines(draw):
+    """A valid header line, then up to three mutations of it."""
+    line = encode_header(draw(requests))
+    for _ in range(draw(st.integers(0, 3))):
+        text = line.decode("utf-8", "surrogateescape")
+        tokens = text[:-1].split(" ") if text.endswith("\n") else text.split(" ")
+        how = draw(st.sampled_from(
+            ["flip", "drop", "double", "zeros", "odd", "space", "long", "lf"]
+        ))
+        if how == "flip":
+            at = draw(st.integers(0, len(line) - 1))
+            line = line[:at] + bytes([line[at] ^ draw(st.integers(1, 255))]) + line[at + 1 :]
+            continue
+        if how in ("drop", "double"):
+            at = draw(st.integers(0, len(tokens) - 1))
+            tokens[at:at + 1] = [] if how == "drop" else [tokens[at]] * 2
+            text = " ".join(tokens) + "\n"
+        elif how == "zeros":
+            runs = [m.start() for m in re.finditer(r"(?<!\d)\d", text)]
+            if runs:
+                at = draw(st.sampled_from(runs))
+                text = text[:at] + "0" * draw(st.integers(1, 3)) + text[at:]
+        elif how in ("odd", "space"):
+            at = draw(st.integers(0, len(text)))
+            char = draw(st.sampled_from(_ODD_CHARS)) if how == "odd" else " "
+            text = text[:at] + char + text[at:]
+        elif how == "long":
+            room = MAX_HEADER_BYTES - len(line)
+            pad = max(1, room + draw(st.integers(-2, 2)))
+            text = text[:-1] + "x" * pad + text[-1:]
+        else:
+            text = draw(st.sampled_from([text[:-1], text + "\n", "\n" + text]))
+        line = text.encode("utf-8", "surrogateescape")
+    return line
+
+
+@given(requests)
+@settings(max_examples=300)
+def test_header_parser_agrees_with_the_per_token_oracle_on_valid_lines(req):
+    line = encode_header(req)
+    assert _outcome(parse_request_header, line) == _outcome(old_parse_request_header, line)
+
+
+@given(mutated_lines())
+@example(b"TRANSFORM  0 0 1 1 1 0\n")  # an empty op name
+@example(b"TRANSFORM xor 0 0 1 1 1 1  v\n")  # an empty param key
+@example(b"PROBE ebp://h:1/1/" + b"ab" * 20 + b"/manage\r\n")
+@settings(max_examples=600)
+def test_header_parser_agrees_with_the_per_token_oracle_on_mutated_lines(line):
+    assert _outcome(parse_request_header, line) == _outcome(old_parse_request_header, line)
+
+
+_reply_tokens = st.one_of(
+    st.text(alphabet=st.sampled_from("ab09 _-:/" + _ODD_CHARS), max_size=6),
+    st.sampled_from(["", " ", "a b", "a ", " a", "ab", "OK", 7, None, b"ab"]),
+)
+
+
+@given(
+    st.one_of(
+        st.builds(OkResponse, st.lists(_reply_tokens, max_size=5).map(tuple), st.binary(max_size=3)),
+        st.builds(ErrResponse, _reply_tokens, st.text(max_size=12)),
+    )
+)
+@settings(max_examples=1000)
+def test_reply_encoder_agrees_with_the_per_token_oracle(resp):
+    def outcome(encode):
+        try:
+            return encode(resp)
+        except MalformedFrame:
+            return MalformedFrame
+
+    assert outcome(encode_response) == outcome(old_encode_response)
+
+
+def test_reply_encoder_refuses_a_token_with_a_space_or_an_empty_token():
+    for tokens in (("a b",), ("",), ("a", ""), ("", "a"), ("a ", "b"), ("x", " b")):
+        with pytest.raises(MalformedFrame):
+            encode_response(OkResponse(tokens))
