@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -57,31 +59,6 @@ def test_malformed_capabilities_rejected(bad):
         parse_capability(bad)
 
 
-# The depot's request path parses through ``ebp.wire.parse_capability``,
-# which keeps the texts it parsed, up to a fixed bound.
-
-
-def test_depot_capability_cache_stays_within_its_bound():
-    from ebp.wire import parse_capability as cached
-
-    bound = cached.cache_info().maxsize
-    assert bound
-    for alloc_id in range(bound + 100):
-        cached(f"ebp://h:1/{alloc_id}/{'ab' * 20}/read")
-        assert cached.cache_info().currsize <= bound
-    assert cached.cache_info().currsize == bound
-
-
-def test_malformed_capability_is_never_cached():
-    from ebp.wire import parse_capability as cached
-
-    before = cached.cache_info()
-    for bad in ["ebp://h:1/1/short/read"] * 3 + ["ebp://h:99999/1/" + "ab" * 20 + "/read"] * 3:
-        with pytest.raises(MalformedFrame):
-            cached(bad)
-    after = cached.cache_info()
-    assert (after.hits, after.currsize) == (before.hits, before.currsize)
-
 
 @given(
     port=st.integers(min_value=1, max_value=65535),
@@ -90,13 +67,17 @@ def test_malformed_capability_is_never_cached():
     kind=st.sampled_from(list(Kind)),
     zeros=st.integers(0, 2),
 )
-def test_text_is_the_same_parsed_cached_or_built(port, alloc_id, key, kind, zeros):
-    from ebp.wire import parse_capability as cached
-
+def test_text_is_the_same_parsed_or_built(port, alloc_id, key, kind, zeros):
     built = Capability(f"h.example:{port}", alloc_id, kind, key)
     # Leading zeros parse (a port has at most 5 digits); the text form drops them.
     port_text = str(port).rjust(min(5, len(str(port)) + zeros), "0")
-    text = f"ebp://h.example:{port_text}/{'0' * zeros}{alloc_id}/{key}/{kind.value}"
-    for parsed in (parse_capability(text), cached(text), cached(text)):
-        assert parsed == built
-        assert parsed.text() == built.text() == f"ebp://h.example:{port}/{alloc_id}/{key}/{kind.value}"
+    parsed = parse_capability(f"ebp://h.example:{port_text}/{'0' * zeros}{alloc_id}/{key}/{kind.value}")
+    assert parsed == built
+    assert hash(parsed) == hash(built)
+    assert parsed.text() == built.text() == f"ebp://h.example:{port}/{alloc_id}/{key}/{kind.value}"
+
+
+def test_capability_is_immutable():
+    cap = Capability("h:1", 1, Kind.READ, "ab" * 20)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cap.alloc_id = 2
