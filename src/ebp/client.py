@@ -113,7 +113,7 @@ class DepotClient:
             raise ConnectionLost(f"cannot connect to {addr}: {exc}") from exc
         self._sock.settimeout(timeout_ms / 1000)
         self._framer = Framer(self._sock)
-        self._in_sync = True  # False from a request's start until its clean end
+        self.in_sync = True  # False from a request's start until its clean end
         self._unread: deque = deque()  # written by a batch, reply not yet read
 
     # ----------------------------------------------------------------- verbs
@@ -221,7 +221,7 @@ class DepotClient:
         has checked, is received into it. A reply of the wrong shape raises
         MalformedFrame and closes the session: the stream can no longer be
         trusted."""
-        self._in_sync = False
+        self.in_sync = False
         try:
             if self._unread:
                 req = self._unread.popleft()  # a batch wrote it; only its reply is left
@@ -234,7 +234,7 @@ class DepotClient:
             kind, tokens = parse_response_header(self._framer.readline())
             if kind == "ERR":
                 code, message = tokens
-                self._in_sync = code not in _DESYNC_CODES and not self._unread
+                self.in_sync = code not in _DESYNC_CODES and not self._unread
                 raise error_for_code(code, message)
             values = self._parse_reply(req, parsers, tokens)
             if into is not None:
@@ -243,7 +243,7 @@ class DepotClient:
             raise Timeout(f"{make.verb} against {self.addr} timed out") from exc
         except OSError as exc:
             raise ConnectionLost(f"{make.verb} against {self.addr}: {exc}") from exc
-        self._in_sync = not self._unread
+        self.in_sync = not self._unread
         return values
 
     def _batch(self, reqs: list, answer) -> list:
@@ -259,7 +259,7 @@ class DepotClient:
         for start in range(0, len(reqs), MAX_IN_FLIGHT):
             window = reqs[start : start + MAX_IN_FLIGHT]
             if broken is None:
-                self._in_sync = False
+                self.in_sync = False
                 try:
                     self._sock.sendall(b"".join(map(encode_request, window)))
                     self._unread.extend(window)
@@ -304,7 +304,7 @@ class DepotClient:
     # --------------------------------------------------------------- plumbing
 
     def close(self) -> None:
-        self._in_sync = False
+        self.in_sync = False
         self._unread.clear()
         try:
             self._sock.close()
@@ -427,7 +427,7 @@ def session(addr: str, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> Iterator[DepotCl
     try:
         yield cli
     finally:
-        if cli._in_sync:
+        if cli.in_sync:
             _pool.give(cli)
         else:
             cli.close()

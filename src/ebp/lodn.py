@@ -12,10 +12,11 @@ session: one batch of RENEWs for the replicas whose lease expires within
 ``renew_before`` seconds. A replica is live when its PROBE, and its RENEW if
 it was due, succeeded. Last, extents below the replica target are repaired
 through the file runtime. A depot that cannot be reached costs one connection
-attempt per tick, and each of its replicas a failure line. Per-action
-failures are recorded in the tick report and never abort the loop. Ticks are
-idempotent in state: right after a tick there is nothing left to renew or
-repair, so a second tick at the same instant takes no actions.
+attempt in the probe pass and at most one in each exNode's repair, and each
+of its replicas a failure line. Per-action failures are recorded in the tick
+report and never abort the loop. Ticks are idempotent in state: right after a
+tick there is nothing left to renew or repair, so a second tick at the same
+instant takes no actions.
 
 The scheduler never releases or shrinks an allocation. The exNode file is
 atomically rewritten only when repair changed its capabilities.
@@ -78,7 +79,6 @@ class ManagedEntry:
     path: str
     exnode: ExNode
     policy: Policy
-    last_tick: Optional[float] = None
 
 
 @dataclass
@@ -111,10 +111,10 @@ class LodnScheduler:
         clock=time.monotonic,
     ):
         # Renewals extend to lease_duration_s, which must exceed renew_before
-        # or every tick would renew again.
+        # or every tick would renew again. ``clock`` is accepted and unused: a
+        # tick reads each lease's time left from the depot's PROBE reply.
         self.lease_duration_s = lease_duration_s
         self.timeout_ms = timeout_ms
-        self._clock = clock
         self._entries: dict = {}
         self._tick_lock = threading.Lock()
 
@@ -150,9 +150,9 @@ class LodnScheduler:
     # ------------------------------------------------------------------ tick
 
     def tick(self, now: Optional[float] = None) -> TickReport:
-        """One maintenance pass over every managed exNode."""
+        """One maintenance pass over every managed exNode; ``now`` is unused,
+        as is the scheduler's clock."""
         with self._tick_lock:  # ticks never overlap
-            now = self._clock() if now is None else now
             report = TickReport()
             entries = list(self._entries.values())
             by_depot: dict = {}  # depot address -> [_Check] in exNode order
@@ -170,7 +170,6 @@ class LodnScheduler:
                     self._settle_entry(entry, failed, report)
                 except EbpError as exc:
                     report.failures.append(f"{entry.path}: {exc.code}: {exc.message}")
-                entry.last_tick = now
             return report
 
     def _check_depot(self, addr: str, checks: list, failed: dict, report: TickReport) -> None:

@@ -1,22 +1,26 @@
 """File-level runtime over exNodes: upload, download, repair.
 
-Upload splits a byte sequence into fixed-size chunks and places each chunk on
-``k`` distinct depots chosen round-robin (chunk ``i`` starts its candidate
-list at depot index ``i mod len(depots)``), so placement is deterministic
-given the same inputs. Chunks are views of the caller's bytes, or read from
-a file by offset inside the worker that stores them, so at most
-``parallelism`` chunks of a file are in memory. Download fetches extents in
-parallel, each received straight into its range of the result, trying each
-extent's replicas in list order and advancing on any error, including a
-replica whose bytes carry the unknown-state flag: flagged bytes are treated
-as a failed replica, never returned to the caller. Repair restores the
-replica count by depot-to-depot transfer from a surviving replica, so payload
-bytes never cross the repairing client's link.
+Upload splits a byte sequence into fixed-size chunks: views of the caller's
+bytes, or read from a file by offset inside the worker that stores them, so
+at most ``parallelism`` chunks of a file are in memory. Download fetches
+extents in parallel, each received straight into its range of the result,
+trying each extent's replicas in list order and advancing on any error,
+including a replica whose bytes carry the unknown-state flag: flagged bytes
+are treated as a failed replica, never returned to the caller.
 
-The runtime is stateless: leases on uploaded chunks default to one hour and
-keeping them alive is the policy daemon's job, not ours. Every request goes
-through a pooled ``client.session``, so consecutive operations against one
-depot share a connection.
+Upload and repair place replicas by one rule (``_place``): walk the candidate
+depots in order, skip those that hold the extent already, allocate, fill, and
+stop at ``k`` replicas. Upload fills by STORE and starts chunk ``i``'s
+candidates at depot ``i mod len(depots)``, so placement is deterministic;
+repair fills by TRANSFER from a surviving replica, so payload bytes never
+cross the repairing client's link. An allocation whose fill fails is
+released, and so, when a call fails, is every replica it placed (both
+best-effort). A depot whose own session hit ``Timeout`` or ``ConnectionLost``
+gets no further connection attempt in that call.
+
+The runtime is stateless: leases default to one hour and keeping them alive
+is the policy daemon's job. Every request goes through a pooled
+``client.session``, so consecutive operations on one depot share a connection.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from dataclasses import replace
 from typing import Iterator, Optional, Union
 
 from .capability import Hardness
 from .client import session
-from .errors import EbpError, ExtentUnavailable, InsufficientDepots
+from .errors import EbpError, ExtentUnavailable, InsufficientDepots, ValidationFailed
 from .exnode import ExNode, Extent, Replica, make_exnode, validate
 
 DEFAULT_LEASE_S = 3600
@@ -53,66 +58,30 @@ def upload(
     Each chunk lands on ``k`` distinct depots; a depot that refuses or cannot
     be reached is skipped and the round-robin continues, failing with
     InsufficientDepots only when a chunk cannot reach ``k`` replicas after
-    trying every depot. An allocation whose store fails is released, and so,
-    if the upload fails, is every replica it placed (both best-effort): no
-    exNode names them.
+    trying every depot. A failed upload releases every replica it placed.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     if k < 1 or k > len(depots):
         raise ValueError(f"replication k={k} must be between 1 and {len(depots)}")
-    with _chunks_of(source) as (total, read):
+    with _chunks_of(source) as (total, read), _Call(timeout_ms, lease_s, hardness) as call:
         if not total:
             return make_exnode(0, [], metadata)
-        dead: set = set()
-        dead_lock = threading.Lock()
-        placed: list = []  # (address, manage cap) of every filled replica
 
         def place(index: int) -> Extent:
-            chunk = read(index * chunk_size, min(chunk_size, total - index * chunk_size))
+            offset = index * chunk_size
+            chunk = read(offset, min(chunk_size, total - offset))
             candidates = [depots[(index + j) % len(depots)] for j in range(len(depots))]
-            replicas = []
-            last_error: Optional[EbpError] = None
-            for addr in candidates:
-                if len(replicas) >= k:
-                    break
-                with dead_lock:
-                    if addr in dead:
-                        continue
-                caps = None
-                try:
-                    with session(addr, timeout_ms) as cli:
-                        caps = cli.allocate(len(chunk), lease_s, hardness)
-                        cli.store(caps.write, 0, chunk)
-                    placed.append((addr, caps.manage))
-                    replicas.append(
-                        Replica(depot_addr=addr, read=caps.read, write=caps.write, manage=caps.manage)
-                    )
-                except EbpError as exc:
-                    last_error = exc
-                    if caps is not None:  # allocated but never filled
-                        _release([(addr, caps.manage)], timeout_ms)
-                    if exc.code in ("ConnectionLost", "Timeout"):
-                        with dead_lock:
-                            dead.add(addr)
-            if len(replicas) < k:
-                detail = f"; last error: {last_error.code}: {last_error.message}" if last_error else ""
-                raise InsufficientDepots(
-                    f"chunk {index} reached {len(replicas)} of {k} replicas{detail}"
-                )
-            return Extent(offset=index * chunk_size, length=len(chunk), replicas=tuple(replicas))
+            extent = Extent(offset, len(chunk), ())
+            return _place(call, extent, candidates, k, lambda cli, caps: cli.store(caps.write, 0, chunk))
 
         pool = ThreadPoolExecutor(max_workers=max(1, parallelism))
         try:
             extents = list(pool.map(place, range(-(-total // chunk_size))))
-        except BaseException:
-            # No exNode will name the replicas placed so far: let the chunks
-            # in flight finish, start no more, and give every replica back.
-            pool.shutdown(cancel_futures=True)
-            _release(placed, timeout_ms)
-            raise
         finally:
-            pool.shutdown()
+            # After a failure, the chunks in flight finish and no more start,
+            # so the call's release on exit finds every replica placed.
+            pool.shutdown(cancel_futures=True)
     return make_exnode(total, extents, metadata)
 
 
@@ -188,98 +157,130 @@ def repair(
 ) -> ExNode:
     """Bring every extent back to >= k live replicas; returns a new exNode.
 
-    New replicas are filled by asking a surviving replica's depot to TRANSFER
-    the extent directly to the new allocation. Extents already at ``k`` are
-    returned untouched (dead replica entries and all); repaired extents keep
-    only live replicas plus the new ones.
+    New replicas go on ``depots`` in list order by upload's placement rule,
+    each filled by a surviving replica's depot TRANSFERring the extent to it.
+    Extents already at ``k`` are returned untouched (dead replica entries and
+    all); repaired extents keep only live replicas plus the new ones. A failed
+    repair (ExtentUnavailable, InsufficientDepots) releases what it placed.
     """
     _check(exnode)
-    new_extents = []
-    for extent in exnode.extents:
-        live = [r for r in extent.replicas if _alive(r, extent.length, timeout_ms)]
-        if len(live) >= k:
-            new_extents.append(extent)
-            continue
-        if not live:
-            raise ExtentUnavailable(
-                f"logical range [{extent.offset}, {extent.offset + extent.length})"
-                " has no live replica to copy from"
-            )
-        hosting = {r.depot_addr for r in live}
-        replicas = list(live)
-        last_error: Optional[EbpError] = None
-        for addr in depots:
-            if len(replicas) >= k:
-                break
-            if addr in hosting:
+    extents = []
+    with _Call(timeout_ms, lease_s, hardness) as call:
+        for extent in exnode.extents:
+            live = tuple(r for r in extent.replicas if _alive(call, r, extent.length))
+            if len(live) >= k:
+                extents.append(extent)
                 continue
-            source = replicas[0]
-            try:
-                with session(addr, timeout_ms) as dst_cli:
-                    caps = dst_cli.allocate(extent.length, lease_s, hardness)
-                with session(source.depot_addr, timeout_ms) as src_cli:
-                    src_cli.transfer(source.read, source.base, caps.write, 0, extent.length)
-                replicas.append(
-                    Replica(depot_addr=addr, read=caps.read, write=caps.write, manage=caps.manage)
+            if not live:
+                raise ExtentUnavailable(
+                    f"logical range [{extent.offset}, {extent.offset + extent.length})"
+                    " has no live replica to copy from"
                 )
-                hosting.add(addr)
-            except EbpError as exc:
-                last_error = exc
-        if len(replicas) < k:
-            if last_error is not None:
-                raise last_error
-            raise InsufficientDepots(
-                f"extent at {extent.offset}: only {len(replicas)} of {k} replicas placeable"
-            )
-        new_extents.append(Extent(offset=extent.offset, length=extent.length, replicas=tuple(replicas), extra=extent.extra))
-    rebuilt = ExNode(
-        total_length=exnode.total_length,
-        extents=tuple(new_extents),
-        metadata=exnode.metadata,
-        version=exnode.version,
-        extra=exnode.extra,
-    )
-    return rebuilt
+
+            def transfer(_cli, caps, source=live[0], length=extent.length) -> None:
+                with call.session(source.depot_addr) as src:
+                    src.transfer(source.read, source.base, caps.write, 0, length)
+
+            extents.append(_place(call, replace(extent, replicas=live), depots, k, transfer))
+    return replace(exnode, extents=tuple(extents))
 
 
 def release_all(exnode: ExNode, *, timeout_ms: int = 5000) -> int:
     """Best-effort release of every replica holding a manage capability."""
-    return _release(
-        [
-            (replica.depot_addr, replica.manage)
-            for extent in exnode.extents
-            for replica in extent.replicas
-            if replica.manage is not None
-        ],
-        timeout_ms,
-    )
+    pairs = [(r.depot_addr, r.manage) for e in exnode.extents for r in e.replicas if r.manage]
+    return _Call(timeout_ms).release(pairs)
 
 
-def _release(placed: list, timeout_ms: int) -> int:
-    """Best-effort release of ``(depot address, manage capability)`` pairs;
-    returns how many were released."""
-    released = 0
-    for addr, manage in placed:
+class _Call:
+    """What one upload, repair or release_all shares across its extents and
+    worker threads: its settings, the replicas it placed, and the depots it
+    found unreachable. Used as a context manager, it releases every replica
+    it placed when the call fails, since no exNode will name them."""
+
+    def __init__(
+        self, timeout_ms: int, lease_s: int = DEFAULT_LEASE_S, hardness: Hardness = Hardness.SOFT
+    ):
+        self.timeout_ms, self.lease_s, self.hardness = timeout_ms, lease_s, hardness
+        self.placed: list = []  # (address, manage cap) of every filled replica
+        self._unreachable: dict = {}  # address -> the error that showed it
+        self._lock = threading.Lock()
+
+    @contextmanager
+    def session(self, addr: str) -> Iterator:
+        """A pooled session to ``addr``, or, once ``addr`` proved unreachable,
+        its error again without a connection attempt. Only this session's own
+        Timeout or ConnectionLost marks ``addr``: one that could not open or
+        that a request left out of sync, not one passing through from a
+        session opened inside it, as repair's TRANSFER source is."""
+        with self._lock:
+            known = self._unreachable.get(addr)
+        if known is not None:
+            raise type(known)(known.message)
+        cli = None
         try:
-            with session(addr, timeout_ms) as cli:
+            with session(addr, self.timeout_ms) as cli:
+                yield cli
+        except EbpError as exc:
+            if exc.code in ("ConnectionLost", "Timeout") and (cli is None or not cli.in_sync):
+                with self._lock:
+                    self._unreachable.setdefault(addr, exc)
+            raise
+
+    def release(self, placed: list) -> int:
+        """Best-effort release of ``(depot address, manage capability)``
+        pairs; returns how many were released."""
+        released = 0
+        for addr, manage in placed:
+            with suppress(EbpError), self.session(addr) as cli:
                 cli.release(manage)
-            released += 1
-        except EbpError:
-            pass
-    return released
+                released += 1
+        return released
+
+    def __enter__(self) -> "_Call":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if exc is not None:
+            self.release(self.placed)
 
 
-def _alive(replica: Replica, length: int, timeout_ms: int) -> bool:
-    """A replica counts as live when its bytes are reachable and trusted.
+def _place(call: _Call, extent: Extent, candidates, k: int, fill) -> Extent:
+    """``extent`` with new replicas added to those it holds, on ``candidates``
+    in order, until it has ``k``. Each new replica is an allocation on a depot
+    that holds none yet, filled by ``fill(cli, caps)`` over that depot's
+    session; one whose fill fails is released. Raises InsufficientDepots,
+    naming the last error, when ``k`` is out of reach."""
+    replicas = list(extent.replicas)
+    last_error: Optional[EbpError] = None
+    for addr in candidates:
+        if len(replicas) >= k:
+            break
+        if any(r.depot_addr == addr for r in replicas):
+            continue
+        caps = None
+        try:
+            with call.session(addr) as cli:
+                caps = cli.allocate(extent.length, call.lease_s, call.hardness)
+                fill(cli, caps)
+        except EbpError as exc:
+            last_error = exc
+            if caps is not None:  # allocated but never filled
+                call.release([(addr, caps.manage)])
+            continue
+        call.placed.append((addr, caps.manage))
+        replicas.append(Replica(addr, caps.read, caps.write, caps.manage))
+    if len(replicas) < k:
+        detail = f"; last error: {last_error.code}: {last_error.message}" if last_error else ""
+        raise InsufficientDepots(f"extent at {extent.offset}: {len(replicas)} of {k} replicas{detail}")
+    return replace(extent, replicas=tuple(replicas))
 
-    Reading the extent's last byte proves the allocation still exists, the
-    lease is current, the full range is present, and the flag is clean.
-    """
-    probe_offset = replica.base + max(0, length - 1)
-    probe_len = 1 if length else 0
+
+def _alive(call: _Call, replica: Replica, length: int) -> bool:
+    """Whether reading the extent's last byte works and is unflagged: the
+    allocation exists, its lease is current, the range is whole and trusted."""
     try:
-        with session(replica.depot_addr, timeout_ms) as cli:
-            result = cli.load(replica.read, probe_offset, probe_len)
+        with call.session(replica.depot_addr) as cli:
+            result = cli.load(replica.read, replica.base + max(0, length - 1), min(length, 1))
         return not result.unknown_state
     except EbpError:
         return False
@@ -288,7 +289,4 @@ def _alive(replica: Replica, length: int, timeout_ms: int) -> bool:
 def _check(exnode: ExNode) -> None:
     problems = validate(exnode)
     if problems:
-        from .errors import ValidationFailed
-
         raise ValidationFailed("; ".join(problems))
-

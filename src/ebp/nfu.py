@@ -214,9 +214,6 @@ class NfuEngine:
         # goes once its count drops to zero, so the map holds only live work.
         self._output_locks: dict[int, list] = {}
 
-    def register_builtin(self, op_name: str, fn: OpFn) -> None:
-        self.registry.register(op_name, fn)
-
     def execute(self, spec: TransformSpec) -> TransformResult:
         fn = self.registry.resolve(spec.op_name)
         self._validate_caps(spec)

@@ -363,7 +363,6 @@ class SimCluster:
         seed: int = 0,
         virtual_time: bool = False,
         total_capacity: int = DEFAULT_TOTAL_CAPACITY,
-        config_overrides: Optional[dict] = None,
         per_depot_overrides: Optional[list] = None,
         sweep_period_s: float = 1.0,
     ):
@@ -373,7 +372,7 @@ class SimCluster:
         self._sweep_period_s = sweep_period_s
         self.handles: dict = {}
         for i in range(n):
-            overrides = dict(config_overrides or {})
+            overrides = {}
             if per_depot_overrides and i < len(per_depot_overrides):
                 overrides.update(per_depot_overrides[i])
             overrides.setdefault("total_capacity", total_capacity)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 import threading
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ebp.client import DepotClient
-from ebp.errors import ExtentUnavailable, InsufficientDepots, ValidationFailed
+from ebp.errors import ConnectionLost, EbpError, ExtentUnavailable, InsufficientDepots, ValidationFailed
 from ebp.exnode import validate
 from ebp.lors import download, release_all, repair, upload
 from ebp.simnet import SimCluster
@@ -87,9 +90,9 @@ def test_upload_insufficient_depots(cluster):
         upload(data, cluster.addrs(), chunk_size=4096, k=2, timeout_ms=500)
 
 
-def live_allocations(cluster) -> list:
+def live_allocations(cluster, addrs=None) -> list:
     out = []
-    for addr in cluster.addrs():
+    for addr in cluster.addrs() if addrs is None else addrs:
         with DepotClient(addr) as cli:
             out.append(cli.stats().live_allocations)
     return out
@@ -237,6 +240,105 @@ def test_repair_with_no_live_replica_is_extent_unavailable(cluster):
     cluster.kill("d0")
     with pytest.raises(ExtentUnavailable):
         repair(x, 1, cluster.addrs(), timeout_ms=300)
+
+
+def test_failed_repair_releases_every_replica_it_placed():
+    # d1 admits a replica of all five extents (soft pool 4500 bytes) but can
+    # hold the bytes of only three: the fourth TRANSFER fails.
+    with SimCluster(2, per_depot_overrides=[{}, {"total_capacity": 3000}]) as small:
+        x = upload(b"x" * 5000, small.addrs()[:1], chunk_size=1000, k=1)
+        with pytest.raises(EbpError) as failure:
+            repair(x, 2, small.addrs())
+        assert live_allocations(small) == [5, 0]
+        assert failure.type is InsufficientDepots
+        assert "last error: ResourceExhausted" in failure.value.message
+
+
+def test_repair_makes_at_most_one_connection_attempt_to_a_dead_depot(cluster, connections):
+    data = random.Random(7).randbytes(400_000)
+    x = upload(data, cluster.addrs(), chunk_size=100_000, k=2)
+    dead = cluster.handle("d0").addr
+    cluster.kill("d0")
+    connections.clear()
+    repaired = repair(x, 2, cluster.addrs(), timeout_ms=500)
+    assert connections[dead] <= 1
+    assert download(repaired, timeout_ms=500) == data
+
+
+def test_failed_transfer_releases_its_allocation_and_marks_no_depot(cluster, monkeypatch):
+    data = random.Random(8).randbytes(200_000)
+    d0, d1, d2 = cluster.addrs()
+    x = upload(data, [d0], chunk_size=100_000, k=1)
+    real_transfer = DepotClient.transfer
+    calls = []
+
+    def transfer_losing_the_first(self, *args):
+        calls.append(self.addr)
+        if len(calls) == 1:
+            raise ConnectionLost(f"TRANSFER against {self.addr}: injected")
+        return real_transfer(self, *args)
+
+    monkeypatch.setattr(DepotClient, "transfer", transfer_losing_the_first)
+    repaired = repair(x, 2, [d1, d2])
+    monkeypatch.undo()
+    # Extent 0's allocation on d1 was given back and the extent went to d2;
+    # neither the source d0 nor d1 counts as unreachable, so extent 1 takes d1.
+    assert calls == [d0, d0, d0]
+    assert [[r.depot_addr for r in e.replicas] for e in repaired.extents] == [[d0, d2], [d0, d1]]
+    assert live_allocations(cluster) == [2, 1, 1]
+    assert download(repaired) == data
+
+
+def named_on(addrs: list, exnode) -> list:
+    """How many replicas of ``exnode`` (None for no exNode) each depot in
+    ``addrs`` holds."""
+    extents = exnode.extents if exnode else ()
+    held = Counter(r.depot_addr for e in extents for r in e.replicas)
+    return [held[addr] for addr in addrs]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    capacities=st.lists(st.sampled_from([1500, 3000, 64_000]), min_size=3, max_size=3),
+    size=st.integers(1, 6000),
+    chunk_size=st.sampled_from([500, 1000, 2000]),
+    k=st.integers(2, 3),
+    dead=st.one_of(st.none(), st.integers(0, 2)),
+    kill_before_upload=st.booleans(),
+    drop=st.integers(0, 1000),
+)
+def test_no_call_leaves_an_allocation_that_no_exnode_names(
+    capacities, size, chunk_size, k, dead, kill_before_upload, drop
+):
+    overrides = [{"total_capacity": c} for c in capacities]
+    with SimCluster(3, per_depot_overrides=overrides) as cluster:
+        addrs = cluster.addrs()
+        up = [a for i, a in enumerate(addrs) if i != dead]
+        if dead is not None and kill_before_upload:
+            cluster.kill(f"d{dead}")
+        try:
+            x = upload(bytes(size), addrs, chunk_size=chunk_size, k=k, timeout_ms=500)
+        except EbpError:
+            x = None
+        if dead is not None:
+            cluster.kill(f"d{dead}")
+        assert live_allocations(cluster, up) == named_on(up, x)
+        if x is None:
+            return
+        # Release one replica, and drop it from the exNode that still names
+        # the rest should the repair fail.
+        lost = [r for e in x.extents for r in e.replicas][drop % sum(len(e.replicas) for e in x.extents)]
+        if lost.depot_addr in up:
+            with DepotClient(lost.depot_addr) as cli:
+                cli.release(lost.manage)
+        survivors = replace(
+            x, extents=tuple(replace(e, replicas=tuple(r for r in e.replicas if r != lost)) for e in x.extents)
+        )
+        try:
+            named = repair(x, k, addrs, timeout_ms=500)
+        except EbpError:
+            named = survivors
+        assert live_allocations(cluster, up) == named_on(up, named)
 
 
 def test_release_all_returns_capacity(cluster):

@@ -68,7 +68,7 @@ def test_registry_ships_exactly_the_builtins():
 def test_duplicate_registration_rejected(rig):
     _, engine = rig
     with pytest.raises(DuplicateName):
-        engine.register_builtin("xor", lambda ctx: None)
+        engine.registry.register("xor", lambda ctx: None)
 
 
 def test_unknown_operation(rig):
