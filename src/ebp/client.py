@@ -137,27 +137,26 @@ class DepotClient:
     def load(self, cap: Capability, offset: int, length: int, into=None) -> LoadResult:
         """Read ``length`` bytes from ``offset`` in 1 MiB pieces.
 
-        With ``into``, a writable buffer of ``length`` bytes, each piece is
-        received straight into it and the result's ``data`` is ``into``;
-        after an error its contents are undefined. Otherwise each piece is
-        received into a buffer of its own, and ``data`` is their bytes.
+        Each piece is received straight into one buffer: ``into``, a
+        writable buffer of ``length`` bytes, which is then the result's
+        ``data`` (after an error its contents are undefined); otherwise a
+        buffer of the load's own, and ``data`` is its bytes.
         """
-        view = None if into is None else memoryview(into).cast("B")
-        if view is not None and len(view) != length:
+        buf = bytearray(length) if into is None else into
+        view = memoryview(buf).cast("B")
+        if len(view) != length:
             raise ValueError(f"buffer of {len(view)} bytes for a load of {length}")
-        pieces = []
         unknown = False
         fetched = 0
         while True:
             n = min(PIECE_SIZE, length - fetched)
-            piece = memoryview(bytearray(n)) if view is None else view[fetched : fetched + n]
             args = (cap, offset + fetched, n)
+            piece = view[fetched : fetched + n]
             _, flag = self._request(LoadRequest, args, (partial(_exactly, n), _flag), into=piece)
             unknown = unknown or flag
-            pieces.append(piece)
             fetched += n
             if fetched >= length:
-                return LoadResult(b"".join(pieces) if into is None else into, unknown)
+                return LoadResult(bytes(buf) if into is None else into, unknown)
 
     def probe(self, cap: Capability) -> ProbeInfo:
         return ProbeInfo(*self._request(ProbeRequest, (cap,), _PROBE_REPLY))

@@ -397,30 +397,44 @@ class Depot:
         """
         if offset < 0:
             raise OutOfRange("negative offset")
+        return self._write(cap, offset, payload, define=False)
+
+    def transform_write(self, cap: Capability, result) -> int:
+        """Whole-buffer write used by the transform engine.
+
+        Unlike ``store``, the result *defines* the buffer: ``used`` is set to
+        exactly ``len(result)`` (a transform may extend or shrink the defined
+        region, up to capacity). The poison flag clears only when the result
+        covers the full capacity.
+        """
+        return self._write(cap, 0, result, define=True)
+
+    def _write(self, cap: Capability, offset: int, payload, define: bool) -> int:
+        """The one write path of ``store`` and ``transform_write``: ``used``
+        becomes the write's end when ``define`` is set, else at least that."""
+        end = offset + len(payload)
         with self._lock:
             alloc = self._authorize(cap, Kind.WRITE)
-            if offset + len(payload) > alloc.capacity:
-                raise OutOfRange(
-                    f"store [{offset}, {offset + len(payload)}) exceeds capacity {alloc.capacity}"
-                )
+            if end > alloc.capacity:
+                raise OutOfRange(f"write [{offset}, {end}) exceeds capacity {alloc.capacity}")
         # Lock order is always allocation lock first, table lock nested inside
         # (growth accounting); the table lock is never held while waiting on an
         # allocation lock.
         with alloc.lock:
             if alloc.dead:
-                raise NoSuchAllocation("allocation reclaimed during store")
+                raise NoSuchAllocation("allocation reclaimed during write")
             old_used = alloc.used
-            self._commit_growth(alloc, offset + len(payload))
+            self._commit_growth(alloc, end)
             # Advance the watermark before writing: a fault mid-write leaves
             # the whole attempted range readable in unknown state.
-            alloc.used = max(old_used, offset + len(payload))
+            alloc.used = end if define else max(old_used, end)
             if offset > old_used:
                 alloc.buf[old_used:offset] = bytes(offset - old_used)
             self._write_slices(alloc, offset, payload, old_used)
             if alloc.poisoned and offset == 0 and len(payload) == alloc.capacity:
                 alloc.poisoned = False  # whole-buffer overwrite re-defines the state
             if alloc.dead:
-                raise NoSuchAllocation("allocation reclaimed during store")
+                raise NoSuchAllocation("allocation reclaimed during write")
             return len(payload)
 
     def _commit_growth(self, alloc: _Allocation, size: int) -> None:
@@ -431,7 +445,7 @@ class Depot:
             return
         with self._lock:
             if alloc.dead:
-                raise NoSuchAllocation("allocation reclaimed during store")
+                raise NoSuchAllocation("allocation reclaimed during write")
             total = self.config.total_capacity
             free = total - self._bytes_in_use
             if free < delta:
@@ -514,43 +528,6 @@ class Depot:
             # export would make the next growth of alloc.buf fail.
             with memoryview(alloc.buf)[offset : offset + length] as view:
                 return LoadResult(bytes(view), alloc.poisoned)
-
-    def transform_write(self, cap: Capability, result: bytes) -> int:
-        """Whole-buffer write used by the transform engine.
-
-        Unlike ``store``, the result *defines* the buffer: ``used`` is set to
-        exactly ``len(result)`` (a transform may extend or shrink the defined
-        region, up to capacity). The poison flag clears only when the result
-        covers the full capacity.
-        """
-        with self._lock:
-            alloc = self._authorize(cap, Kind.WRITE)
-            if len(result) > alloc.capacity:
-                raise OutOfRange(
-                    f"transform result of {len(result)} bytes exceeds capacity {alloc.capacity}"
-                )
-        with alloc.lock:
-            if alloc.dead:
-                raise NoSuchAllocation("allocation reclaimed during transform")
-            old_used = alloc.used
-            self._commit_growth(alloc, len(result))
-            alloc.used = len(result)
-            self._write_slices(alloc, 0, result, old_used)
-            if len(result) == alloc.capacity:
-                alloc.poisoned = False
-            return len(result)
-
-    def transfer_local(
-        self, src: Capability, src_offset: int, dst: Capability, dst_offset: int, length: int
-    ) -> int:
-        """Copy between two allocations of this depot.
-
-        Copies bytes only; the source's unknown-state flag is the reader's
-        concern, not laundered and not propagated.
-        """
-        data, _unknown = self.load(src, src_offset, length)
-        self.store(dst, dst_offset, data)
-        return length
 
     # ----------------------------------------------------------------- leases
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import logging
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -108,11 +107,10 @@ class LodnScheduler:
         *,
         lease_duration_s: float = DEFAULT_LEASE_DURATION_S,
         timeout_ms: int = 3000,
-        clock=time.monotonic,
     ):
         # Renewals extend to lease_duration_s, which must exceed renew_before
-        # or every tick would renew again. ``clock`` is accepted and unused: a
-        # tick reads each lease's time left from the depot's PROBE reply.
+        # or every tick would renew again. A tick reads each lease's time
+        # left from the depot's PROBE reply, never a clock of its own.
         self.lease_duration_s = lease_duration_s
         self.timeout_ms = timeout_ms
         self._entries: dict = {}
@@ -149,9 +147,8 @@ class LodnScheduler:
 
     # ------------------------------------------------------------------ tick
 
-    def tick(self, now: Optional[float] = None) -> TickReport:
-        """One maintenance pass over every managed exNode; ``now`` is unused,
-        as is the scheduler's clock."""
+    def tick(self) -> TickReport:
+        """One maintenance pass over every managed exNode."""
         with self._tick_lock:  # ticks never overlap
             report = TickReport()
             entries = list(self._entries.values())

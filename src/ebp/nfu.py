@@ -166,12 +166,13 @@ class OpContext:
         if size == 0:
             yield b""
 
-    def emit(self, i: int, result: bytes) -> None:
-        """Define output ``i`` as exactly ``result``; charged to the io budget."""
+    def emit(self, i: int, result) -> None:
+        """Define output ``i`` as exactly ``result``, any bytes-like object,
+        written without a copy of its own; charged to the io budget."""
         self.check_wall()
         self._charge_io(len(result))
         try:
-            self._depot.transform_write(self._spec.outputs[i], bytes(result))
+            self._depot.transform_write(self._spec.outputs[i], result)
         except OutOfRange as exc:
             raise _OpFault(str(exc)) from exc
 
@@ -333,7 +334,7 @@ def _op_xor(ctx: OpContext) -> None:
         a = ctx.read(0, off, n)
         b = ctx.read(1, off, n)
         out += (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
-    ctx.emit(0, bytes(out))
+    ctx.emit(0, out)
     ctx.release_scratch(a_size)
 
 
@@ -346,7 +347,7 @@ def _op_copy_range(ctx: OpContext) -> None:
     ctx.charge_scratch(length)
     for off in range(src_offset, src_offset + length, _CHUNK):
         out += ctx.read(0, off, min(_CHUNK, src_offset + length - off))
-    ctx.emit(0, bytes(out))
+    ctx.emit(0, out)
     ctx.release_scratch(length)
 
 
@@ -437,7 +438,7 @@ def _op_rle_compress(ctx: OpContext) -> None:
         _rle_run(out, run_value, run_len)
         ctx.charge_scratch(len(out) - charged)
         charged = len(out)
-    ctx.emit(0, bytes(out))
+    ctx.emit(0, out)
     ctx.release_scratch(charged)
 
 
@@ -467,7 +468,7 @@ def _op_rle_decompress(ctx: OpContext) -> None:
         ctx.check_wall()
     if pending:
         ctx.fault("rle stream has odd length")
-    ctx.emit(0, bytes(out))
+    ctx.emit(0, out)
     ctx.release_scratch(charged)
 
 

@@ -1,10 +1,15 @@
 """TCP depot service: binds the wire grammar to a depot and its transform
 engine, one logical handler per session, plus a periodic lease sweeper.
 
-TRANSFER is source-initiated push: this depot reads the source range locally
-and, for a remote destination, borrows a pooled client session to the
-destination depot and issues piecewise STOREs. The requester never carries
-payload bytes.
+TRANSFER is source-initiated push, and ``transfer`` runs it on every plane
+(in process, stream and datagram): a LOAD of the source range, then a STORE
+of those bytes, one ``TRANSFER_PIECE`` at a time and always at least one
+piece, so a zero-length TRANSFER checks both capabilities as a zero-length
+STORE does. A source on another depot is ``NotLocal``. A remote destination
+is stored into through a pooled client session to its depot on the stream
+plane; the in-process and datagram planes are depot-local and answer
+``RemoteUnreachable``, as the stream plane does when it cannot reach the
+destination. The requester never carries payload bytes.
 
 A STORE's payload is not read before dispatch: the handler gets a lazy
 ``wire.Payload`` and ``Depot.store`` receives it straight into the
@@ -37,7 +42,8 @@ import socket
 import threading
 import time
 from collections import defaultdict
-from contextlib import suppress
+from contextlib import nullcontext, suppress
+from functools import partial
 from typing import Optional
 
 from .capability import Capability
@@ -309,32 +315,35 @@ class DepotServer:
             logger.debug("%s alloc=%s %s", req.verb, _alloc_id_of(req), outcome)
         return resp
 
-    # --------------------------------------------------------------- transfer
-
     def handle_transfer(self, req: TransferRequest) -> int:
-        """Copy source bytes to the destination, pushing remotely if needed."""
-        if req.src.depot_addr != self.addr:
-            raise NotLocal(f"transfer source {req.src.depot_addr} is not this depot")
-        if req.dst.depot_addr == self.addr:
+        return transfer(self.depot, req, partial(session, timeout_ms=self._transfer_timeout_ms))
+
+
+def transfer(depot: Depot, req: TransferRequest, connect=None) -> int:
+    """Run TRANSFER on ``depot``: a LOAD of the source then a STORE into the
+    sink, one ``TRANSFER_PIECE`` at a time and always at least one piece.
+
+    The sink is ``depot`` itself for a local destination, else
+    ``connect(addr)``, a context manager giving a client session; without
+    ``connect`` a remote destination is ``RemoteUnreachable``.
+    """
+    if req.src.depot_addr != depot.addr:
+        raise NotLocal(f"transfer source {req.src.depot_addr} is not this depot")
+    local = req.dst.depot_addr == depot.addr
+    if not local and connect is None:
+        raise RemoteUnreachable(f"destination {req.dst.depot_addr}: this plane is depot-local")
+    try:
+        with nullcontext(depot) if local else connect(req.dst.depot_addr) as sink:
             moved = 0
-            while moved < req.length:
+            while True:
                 n = min(TRANSFER_PIECE, req.length - moved)
-                self.depot.transfer_local(
-                    req.src, req.src_offset + moved, req.dst, req.dst_offset + moved, n
-                )
+                data, _unknown = depot.load(req.src, req.src_offset + moved, n)
+                sink.store(req.dst, req.dst_offset + moved, data)
                 moved += n
-            return moved
-        moved = 0
-        try:
-            with session(req.dst.depot_addr, self._transfer_timeout_ms) as remote:
-                while moved < req.length:
-                    n = min(TRANSFER_PIECE, req.length - moved)
-                    data, _unknown = self.depot.load(req.src, req.src_offset + moved, n)
-                    remote.store(req.dst, req.dst_offset + moved, data)
-                    moved += n
-            return moved
-        except (ConnectionLost, Timeout) as exc:
-            raise RemoteUnreachable(f"destination {req.dst.depot_addr}: {exc.message}") from exc
+                if moved >= req.length:
+                    return moved
+    except (ConnectionLost, Timeout) as exc:
+        raise RemoteUnreachable(f"destination {req.dst.depot_addr}: {exc.message}") from exc
 
 
 def _alloc_id_of(req: Request) -> str:

@@ -37,8 +37,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .depot import DepotConfig
-from .errors import EbpError, MalformedFrame, RemoteUnreachable, UnknownDepot
-from .server import DepotServer, dispatch_request
+from .errors import EbpError, MalformedFrame, UnknownDepot
+from .server import DepotServer, dispatch_request, transfer
 from .wire import (
     ErrResponse,
     OpFrame,
@@ -217,14 +217,8 @@ class DatagramDepot:
         self.exec_counts: dict = {}  # op_id -> runs, summed over senders
         fabric.register(name, self.on_datagram)
 
-    # dispatch_request duck-types against DepotServer: it needs .depot,
-    # .engine and handle_transfer; datagram transfers stay depot-local.
     def handle_transfer(self, req) -> int:
-        if req.src.depot_addr != self.depot.addr or req.dst.depot_addr != self.depot.addr:
-            raise RemoteUnreachable("datagram transfers are depot-local")
-        return self.depot.transfer_local(
-            req.src, req.src_offset, req.dst, req.dst_offset, req.length
-        )
+        return transfer(self.depot, req)
 
     def on_datagram(self, data: bytes, src: str) -> None:
         try:

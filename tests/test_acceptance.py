@@ -24,13 +24,12 @@ from ebp.errors import (
     Expired,
     MalformedFrame,
     NoSuchAllocation,
-    RemoteUnreachable,
     ResourceExhausted,
 )
 from ebp.lodn import LodnScheduler, Policy
 from ebp.lors import download, release_all, upload
 from ebp.nfu import NfuEngine, OutputsState, ResourceBudget, TransformSpec, TransformStatus
-from ebp.server import dispatch_request
+from ebp.server import dispatch_request, transfer
 from ebp.simnet import DatagramClient, DatagramDepot, EventLoop, Fabric, SimCluster, run_script
 from ebp.wire import (
     ErrResponse,
@@ -139,7 +138,7 @@ def test_acceptance_2_lease_semantics(tmp_path):
 
         path = tmp_path / "leased.xnd.json"
         write_exnode(str(path), x)
-        sched = LodnScheduler(lease_duration_s=10, timeout_ms=1000, clock=cluster.clock)
+        sched = LodnScheduler(lease_duration_s=10, timeout_ms=1000)
         sched.adopt(
             str(path),
             Policy(replicas=2, renew_before=5, check_period=1,
@@ -552,11 +551,7 @@ class _LocalHost:
         self.engine = NfuEngine(depot)
 
     def handle_transfer(self, req):
-        if req.src.depot_addr != self.depot.addr or req.dst.depot_addr != self.depot.addr:
-            raise RemoteUnreachable("fuzz host is single-depot")
-        return self.depot.transfer_local(
-            req.src, req.src_offset, req.dst, req.dst_offset, req.length
-        )
+        return transfer(self.depot, req)
 
 
 @criterion("8", "wire conformance: goldens exact; 100k fuzz, only known errors")

@@ -325,6 +325,17 @@ def test_mid_store_fault_poisons_allocation():
     assert depot.is_unknown_state(caps.read) is False
 
 
+@pytest.mark.parametrize("write", ["store", "transform_write"])
+def test_a_write_whose_allocation_is_reclaimed_mid_write_fails(write):
+    depot = make_depot(total=4096)
+    caps = depot.allocate(1024, 60, Hardness.SOFT)
+    depot.store_fault_hook = lambda alloc_id, written: depot.release(caps.manage)
+    args = (caps.write, 0, b"x" * 100) if write == "store" else (caps.write, b"x" * 100)
+    with pytest.raises(NoSuchAllocation):
+        getattr(depot, write)(*args)
+    assert depot.stats().bytes_in_use == 0
+
+
 # ------------------------------------------------------------------ sweeps
 
 

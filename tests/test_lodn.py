@@ -31,8 +31,8 @@ def managed_file(cluster, tmp_path, data=b"managed-bytes" * 1000, k=2, lease_s=1
     return str(path), x, data
 
 
-def scheduler_for(cluster, lease_s=10) -> LodnScheduler:
-    return LodnScheduler(lease_duration_s=lease_s, timeout_ms=1000, clock=cluster.clock)
+def new_scheduler(lease_s=10) -> LodnScheduler:
+    return LodnScheduler(lease_duration_s=lease_s, timeout_ms=1000)
 
 
 def policy(cluster, k=2, renew_before=5, check_period=1) -> Policy:
@@ -49,14 +49,14 @@ def policy(cluster, k=2, renew_before=5, check_period=1) -> Policy:
 
 def test_adopt_then_list(cluster, tmp_path):
     path, x, _ = managed_file(cluster, tmp_path)
-    sched = scheduler_for(cluster)
+    sched = new_scheduler()
     entry = sched.adopt(path, policy(cluster))
     assert [e.path for e in sched.entries()] == [path]
     assert entry.policy.replicas == 2
 
 
 def test_drop_unknown_is_not_managed(cluster, tmp_path):
-    sched = scheduler_for(cluster)
+    sched = new_scheduler()
     with pytest.raises(NotManaged):
         sched.drop(str(tmp_path / "nope.xnd.json"))
 
@@ -64,7 +64,7 @@ def test_drop_unknown_is_not_managed(cluster, tmp_path):
 def test_adopt_invalid_exnode_fails_validation(cluster, tmp_path):
     bad = tmp_path / "bad.xnd.json"
     bad.write_text('{"version": 1, "total_length": 5, "extents": [], "metadata": {}}')
-    sched = scheduler_for(cluster)
+    sched = new_scheduler()
     with pytest.raises(ValidationFailed):
         sched.adopt(str(bad), policy(cluster))
 
@@ -77,7 +77,7 @@ def test_adopt_without_manage_caps_rejected(cluster, tmp_path):
             rep.pop("manage", None)
     readonly = tmp_path / "ro.xnd.json"
     readonly.write_text(json.dumps(doc))
-    sched = scheduler_for(cluster)
+    sched = new_scheduler()
     with pytest.raises(ValidationFailed):
         sched.adopt(str(readonly), policy(cluster))
 
@@ -113,7 +113,7 @@ def test_policy_path_naming():
 
 def test_fresh_leases_mean_zero_actions(cluster, tmp_path):
     path, *_ = managed_file(cluster, tmp_path, lease_s=100)
-    sched = scheduler_for(cluster, lease_s=100)
+    sched = new_scheduler(lease_s=100)
     sched.adopt(path, policy(cluster))
     report = sched.tick()
     assert report.actions == 0
@@ -122,7 +122,7 @@ def test_fresh_leases_mean_zero_actions(cluster, tmp_path):
 
 def test_lease_near_expiry_renewed_exactly_once_per_replica(cluster, tmp_path):
     path, x, _ = managed_file(cluster, tmp_path, lease_s=10)
-    sched = scheduler_for(cluster, lease_s=10)
+    sched = new_scheduler(lease_s=10)
     sched.adopt(path, policy(cluster, renew_before=5))
     cluster.advance(4)  # 6 s remain: above the renew threshold
     assert sched.tick().renewals == 0
@@ -137,7 +137,7 @@ def test_lease_near_expiry_renewed_exactly_once_per_replica(cluster, tmp_path):
 
 def test_tick_is_idempotent_at_same_now(cluster, tmp_path):
     path, *_ = managed_file(cluster, tmp_path, lease_s=10)
-    sched = scheduler_for(cluster, lease_s=10)
+    sched = new_scheduler(lease_s=10)
     sched.adopt(path, policy(cluster))
     cluster.advance(5.5)
     first = sched.tick()
@@ -149,7 +149,7 @@ def test_tick_is_idempotent_at_same_now(cluster, tmp_path):
 def test_killed_depot_triggers_exact_repairs_and_atomic_rewrite(cluster, tmp_path):
     data = random.Random(11).randbytes(40_000)
     path, x, _ = managed_file(cluster, tmp_path, data=data)
-    sched = scheduler_for(cluster)
+    sched = new_scheduler()
     sched.adopt(path, policy(cluster))
     dead_addr = cluster.handle("d1").addr
     cluster.kill("d1")
@@ -170,7 +170,7 @@ def test_killed_depot_triggers_exact_repairs_and_atomic_rewrite(cluster, tmp_pat
 
 def test_tick_records_failures_instead_of_raising(cluster, tmp_path):
     path, *_ = managed_file(cluster, tmp_path)
-    sched = scheduler_for(cluster)
+    sched = new_scheduler()
     sched.adopt(path, policy(cluster))
     for name in cluster.names():
         cluster.kill(name)
@@ -182,7 +182,7 @@ def test_tick_records_failures_instead_of_raising(cluster, tmp_path):
 
 def test_tick_never_releases_or_shrinks(cluster, tmp_path):
     path, x, _ = managed_file(cluster, tmp_path, lease_s=10)
-    sched = scheduler_for(cluster, lease_s=10)
+    sched = new_scheduler(lease_s=10)
     sched.adopt(path, policy(cluster))
     counts_before = {}
     for addr in cluster.addrs():
@@ -200,7 +200,7 @@ def test_tick_never_releases_or_shrinks(cluster, tmp_path):
 def test_managed_file_survives_many_lease_lifetimes(cluster, tmp_path):
     data = random.Random(12).randbytes(30_000)
     path, *_ = managed_file(cluster, tmp_path, data=data, lease_s=10)
-    sched = scheduler_for(cluster, lease_s=10)
+    sched = new_scheduler(lease_s=10)
     sched.adopt(path, policy(cluster, renew_before=5, check_period=1))
     for _ in range(30):  # three lease lifetimes at 1 s cadence
         cluster.advance(1)
@@ -216,7 +216,7 @@ class PerReplicaScheduler(LodnScheduler):
     """The oracle: a tick that makes one PROBE and, when due, one RENEW round
     trip per replica, an exNode at a time, then repairs that exNode if thin."""
 
-    def tick(self, now=None) -> TickReport:
+    def tick(self) -> TickReport:
         report = TickReport()
         for entry in self.entries():
             try:
@@ -263,7 +263,7 @@ def test_batched_tick_matches_the_per_replica_oracle(tmp_path_factory, files, de
     schedulers = []
     with SimCluster(3, virtual_time=True) as cluster:
         for cls in (PerReplicaScheduler, LodnScheduler):
-            schedulers.append(cls(lease_duration_s=30, timeout_ms=1000, clock=cluster.clock))
+            schedulers.append(cls(lease_duration_s=30, timeout_ms=1000))
         for i, (age, replicas, renew_before) in enumerate(files):
             data = random.Random(i).randbytes(3000)
             for directory, scheduler in zip(twins, schedulers):
@@ -323,6 +323,6 @@ def test_run_dir_adopts_and_ticks(cluster, tmp_path):
         )
     orphan = tmp_path / "orphan.xnd.json"  # no policy: skipped
     orphan.write_text('{"version":1,"total_length":0,"extents":[],"metadata":{}}')
-    sched = scheduler_for(cluster, lease_s=100)
+    sched = new_scheduler(lease_s=100)
     run_dir(str(tmp_path), scheduler=sched, max_ticks=2)
     assert [e.path for e in sched.entries()] == [path]
