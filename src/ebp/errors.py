@@ -78,10 +78,6 @@ class ConnectionLost(EbpError):
     code = "ConnectionLost"
 
 
-class BestEffortFailure(EbpError):
-    code = "BestEffortFailure"
-
-
 class ExtentUnavailable(EbpError):
     code = "ExtentUnavailable"
 

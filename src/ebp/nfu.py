@@ -8,8 +8,10 @@ scratch bytes, and I/O bytes (input reads plus output writes) -- enforced
 
 Failure semantics are deliberately blunt: when a run ends in anything other
 than ``OK``, every output allocation is poisoned and reads of it report
-unknown state until a full-capacity overwrite. Callers detect and recover;
-the depot promises nothing.
+unknown state until a full-capacity overwrite. So is every output of a run
+that read an input in unknown state, even one that ends ``OK``: its result
+then reports ``outputs_state`` unknown. Callers detect and recover; the
+depot promises nothing.
 
 Operations are pure functions of their inputs and params. The shipped
 registry holds exactly: ``checksum-crc32``, ``checksum-sha256``, ``xor``,
@@ -115,6 +117,7 @@ class OpContext:
         self._scratch_now = 0
         self._scratch_peak = 0
         self._t0 = time.perf_counter()
+        self.read_unknown = False  # some input read so far is unknown-state
 
     # ---- metering
 
@@ -156,15 +159,16 @@ class OpContext:
         """Read one bounded chunk from an input; charged to the io budget."""
         self.check_wall()
         self._charge_io(length)
-        return self._depot.load(self._spec.inputs[i], offset, length).data
+        data, unknown = self._depot.load(self._spec.inputs[i], offset, length)
+        self.read_unknown = self.read_unknown or unknown
+        return data
 
     def read_all(self, i: int):
-        """Iterate an input front to back in budget-metered chunks."""
+        """Iterate an input front to back in budget-metered chunks; an empty
+        input is one empty chunk."""
         size = self.input_size(i)
-        for off in range(0, size, _CHUNK):
+        for off in range(0, max(size, 1), _CHUNK):
             yield self.read(i, off, min(_CHUNK, size - off))
-        if size == 0:
-            yield b""
 
     def emit(self, i: int, result) -> None:
         """Define output ``i`` as exactly ``result``, any bytes-like object,
@@ -207,9 +211,9 @@ class Registry:
 class NfuEngine:
     """Executes transforms against one depot's allocations."""
 
-    def __init__(self, depot: Depot, registry: Optional[Registry] = None):
+    def __init__(self, depot: Depot):
         self.depot = depot
-        self.registry = registry if registry is not None else builtin_registry()
+        self.registry = builtin_registry()
         self._serial_lock = threading.Lock()
         # alloc id -> [lock, transforms holding or waiting on it]; an entry
         # goes once its count drops to zero, so the map holds only live work.
@@ -243,11 +247,13 @@ class NfuEngine:
                 # Lease or admission trouble mid-run: same unknown-state rule.
                 self._poison_outputs(spec)
                 raise
+            if ctx.read_unknown:
+                self._poison_outputs(spec)
             return TransformResult(
                 TransformStatus.OK,
                 ctx.io_bytes_used,
                 ctx.wall_ms_used(),
-                OutputsState.DEFINED,
+                OutputsState.UNKNOWN if ctx.read_unknown else OutputsState.DEFINED,
             )
 
     def _validate_caps(self, spec: TransformSpec) -> None:

@@ -1,15 +1,19 @@
-"""TCP depot service: binds the wire grammar to a depot and its transform
-engine, one logical handler per session, plus a periodic lease sweeper.
+"""The depot service: binds the wire grammar to a depot and its transform
+engine. ``DepotServer`` is the one host ``dispatch_request`` serves, on every
+plane. Started, it listens on TCP, with one logical handler per session and
+a periodic lease sweeper. Never started, it binds no socket and runs no
+thread, and serves the datagram plane (``simnet.DatagramDepot`` runs each
+request through ``DepotServer.dispatch``) and in-process callers.
 
-TRANSFER is source-initiated push, and ``transfer`` runs it on every plane
-(in process, stream and datagram): a LOAD of the source range, then a STORE
-of those bytes, one ``TRANSFER_PIECE`` at a time and always at least one
-piece, so a zero-length TRANSFER checks both capabilities as a zero-length
-STORE does. A source on another depot is ``NotLocal``. A remote destination
-is stored into through a pooled client session to its depot on the stream
-plane; the in-process and datagram planes are depot-local and answer
-``RemoteUnreachable``, as the stream plane does when it cannot reach the
-destination. The requester never carries payload bytes.
+TRANSFER is source-initiated push, run by ``DepotServer.handle_transfer``: a
+LOAD of the source range, then a STORE of those bytes, one
+``TRANSFER_PIECE`` at a time and always at least one piece, so a zero-length
+TRANSFER checks both capabilities as a zero-length STORE does. A source on
+another depot is ``NotLocal``. A remote destination is stored into through a
+pooled client session to its depot, on every plane, and one that cannot be
+reached is ``RemoteUnreachable``. A local destination copied from an
+unknown-state source is left unknown-state. The requester never carries
+payload bytes.
 
 A STORE's payload is not read before dispatch: the handler gets a lazy
 ``wire.Payload`` and ``Depot.store`` receives it straight into the
@@ -43,7 +47,6 @@ import threading
 import time
 from collections import defaultdict
 from contextlib import nullcontext, suppress
-from functools import partial
 from typing import Optional
 
 from .capability import Capability
@@ -161,7 +164,8 @@ _HANDLERS = {
 
 
 class DepotServer:
-    """One depot behind one listening socket."""
+    """One depot and its transform engine; ``start`` puts them behind a
+    listening socket, and ``dispatch`` serves a request on any plane."""
 
     def __init__(
         self,
@@ -285,7 +289,7 @@ class DepotServer:
             _flush(conn, held, ErrResponse("MalformedFrame", "declared payload exceeds depot limit"))
             return False
         if not payload_len:
-            return _reply(conn, framer, held, self._dispatch(build(b"")))
+            return _reply(conn, framer, held, self.dispatch(build(b"")))
         # The client may wait for the held replies before it sends the payload.
         if not _flush(conn, held):
             return False
@@ -293,7 +297,7 @@ class DepotServer:
         # holding its lock, so a sender that is too slow is cut off as if gone.
         payload = Payload(framer, payload_len, self._transfer_timeout_ms / 1000)
         req = build(payload)
-        resp = self._dispatch(req)
+        resp = self.dispatch(req)
         with suppress(ConnectionLost):
             payload.drain()  # a refused STORE left its payload unread
         if payload.lost:
@@ -306,7 +310,7 @@ class DepotServer:
             return False  # stop() closed the socket
         return _reply(conn, framer, held, resp)
 
-    def _dispatch(self, req: Request) -> Response:
+    def dispatch(self, req: Request) -> Response:
         """Run one request; count it, and log it at DEBUG."""
         resp = dispatch_request(req, self)
         self.verb_counts[req.verb] += 1
@@ -316,34 +320,27 @@ class DepotServer:
         return resp
 
     def handle_transfer(self, req: TransferRequest) -> int:
-        return transfer(self.depot, req, partial(session, timeout_ms=self._transfer_timeout_ms))
-
-
-def transfer(depot: Depot, req: TransferRequest, connect=None) -> int:
-    """Run TRANSFER on ``depot``: a LOAD of the source then a STORE into the
-    sink, one ``TRANSFER_PIECE`` at a time and always at least one piece.
-
-    The sink is ``depot`` itself for a local destination, else
-    ``connect(addr)``, a context manager giving a client session; without
-    ``connect`` a remote destination is ``RemoteUnreachable``.
-    """
-    if req.src.depot_addr != depot.addr:
-        raise NotLocal(f"transfer source {req.src.depot_addr} is not this depot")
-    local = req.dst.depot_addr == depot.addr
-    if not local and connect is None:
-        raise RemoteUnreachable(f"destination {req.dst.depot_addr}: this plane is depot-local")
-    try:
-        with nullcontext(depot) if local else connect(req.dst.depot_addr) as sink:
-            moved = 0
-            while True:
-                n = min(TRANSFER_PIECE, req.length - moved)
-                data, _unknown = depot.load(req.src, req.src_offset + moved, n)
-                sink.store(req.dst, req.dst_offset + moved, data)
-                moved += n
-                if moved >= req.length:
-                    return moved
-    except (ConnectionLost, Timeout) as exc:
-        raise RemoteUnreachable(f"destination {req.dst.depot_addr}: {exc.message}") from exc
+        """Push the source range into the sink: this depot for a local
+        destination, else a pooled client session to the destination's."""
+        depot = self.depot
+        if req.src.depot_addr != depot.addr:
+            raise NotLocal(f"transfer source {req.src.depot_addr} is not this depot")
+        local = req.dst.depot_addr == depot.addr
+        opened = nullcontext(depot) if local else session(req.dst.depot_addr, self._transfer_timeout_ms)
+        moved = 0
+        try:
+            with opened as sink:
+                while True:
+                    n = min(TRANSFER_PIECE, req.length - moved)
+                    data, unknown = depot.load(req.src, req.src_offset + moved, n)
+                    sink.store(req.dst, req.dst_offset + moved, data)
+                    if unknown and local:  # a remote sink cannot carry the flag
+                        depot.mark_unknown(req.dst)
+                    moved += n
+                    if moved >= req.length:
+                        return moved
+        except (ConnectionLost, Timeout) as exc:
+            raise RemoteUnreachable(f"destination {req.dst.depot_addr}: {exc.message}") from exc
 
 
 def _alloc_id_of(req: Request) -> str:

@@ -1,11 +1,11 @@
 """In-process multi-depot test substrate.
 
-Two planes, one depot state:
+Two planes, one depot service: every simulated depot is one ``DepotServer``.
 
-* Stream plane: every simulated depot is a real ``DepotServer`` listening on
-  a loopback port, so the SDK, the file runtime and the CLI run unchanged.
-  ``kill`` stops the listener; ``restart`` rebinds the same address with a
-  fresh, empty depot (no persistence, deliberately).
+* Stream plane: the server listens on a loopback port, so the SDK, the file
+  runtime and the CLI run unchanged. ``kill`` stops the listener;
+  ``restart`` rebinds the same address with a fresh, empty depot (no
+  persistence, deliberately).
 
 * Datagram plane: a virtual fabric carrying op frames between named nodes
   with injectable latency, loss, duplication and reordering per directed
@@ -18,7 +18,9 @@ Two planes, one depot state:
   A completed op's response is cached and replayed on any later copy of the
   frame, so retransmissions are harmless even for side-effecting verbs. The
   sender may therefore retransmit aggressively: every 50 ms, eight attempts,
-  then give up.
+  then give up. A frame that runs goes through the same server's
+  ``dispatch`` as a stream request does; a ``DatagramDepot`` also serves a
+  server that was never started.
 
 Lease clocks can be virtualized: with ``virtual_time=True`` every depot reads
 a shared clock that only moves when the test calls ``advance``, which also
@@ -38,7 +40,7 @@ from typing import Callable, Optional
 
 from .depot import DepotConfig
 from .errors import EbpError, MalformedFrame, UnknownDepot
-from .server import DepotServer, dispatch_request, transfer
+from .server import DepotServer
 from .wire import (
     ErrResponse,
     OpFrame,
@@ -201,24 +203,19 @@ class SenderState:
 
 
 class DatagramDepot:
-    """Datagram-mode face of one depot: per-sender dedup, DAG deferral,
-    dispatch.
-
-    Operates on the same depot/engine pair as the stream server (when there
-    is one), so both transports see one allocation table.
+    """Datagram-mode face of one depot service: per-sender dedup and DAG
+    deferral in front of ``server.dispatch``, so both transports see one
+    allocation table, and datagram requests are counted and logged as
+    stream ones are.
     """
 
-    def __init__(self, name: str, depot, engine, fabric: Fabric):
+    def __init__(self, name: str, server: DepotServer, fabric: Fabric):
         self.name = name
-        self.depot = depot
-        self.engine = engine
+        self.server = server
         self.fabric = fabric
         self.senders: dict = {}  # fabric node name -> SenderState
         self.exec_counts: dict = {}  # op_id -> runs, summed over senders
         fabric.register(name, self.on_datagram)
-
-    def handle_transfer(self, req) -> int:
-        return transfer(self.depot, req)
 
     def on_datagram(self, data: bytes, src: str) -> None:
         try:
@@ -246,7 +243,7 @@ class DatagramDepot:
                 request, _ = decode_request(current.body)
                 if VERB_CODES[request.verb] != current.verb_code:
                     raise MalformedFrame(f"verb code {current.verb_code} is not {request.verb}")
-                response = encode_response(dispatch_request(request, self))
+                response = encode_response(self.server.dispatch(request))
             except EbpError as exc:
                 response = encode_response(ErrResponse(exc.code, exc.message))
             self.exec_counts[current.op_id] = self.exec_counts.get(current.op_id, 0) + 1
@@ -381,7 +378,7 @@ class SimCluster:
             sweep_period_s=self._sweep_period_s,
         )
         server.start()
-        endpoint = DatagramDepot(name, server.depot, server.engine, self.fabric)
+        endpoint = DatagramDepot(name, server, self.fabric)
         handle = DepotHandle(name=name, server=server, endpoint=endpoint)
         self.handles[name] = handle
         self.fabric.dead.discard(name)

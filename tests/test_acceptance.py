@@ -29,7 +29,7 @@ from ebp.errors import (
 from ebp.lodn import LodnScheduler, Policy
 from ebp.lors import download, release_all, upload
 from ebp.nfu import NfuEngine, OutputsState, ResourceBudget, TransformSpec, TransformStatus
-from ebp.server import dispatch_request, transfer
+from ebp.server import DepotServer, dispatch_request
 from ebp.simnet import DatagramClient, DatagramDepot, EventLoop, Fabric, SimCluster, run_script
 from ebp.wire import (
     ErrResponse,
@@ -438,8 +438,9 @@ def test_acceptance_6_dag_ordering_and_anti_stutter():
         rng = random.Random(0xDA6 + trial)
         loop = EventLoop()
         fabric = Fabric(loop, seed=trial)
-        depot = Depot(DepotConfig(total_capacity=1 << 20), addr="127.0.0.1:9")
-        endpoint = DatagramDepot("d0", depot, NfuEngine(depot), fabric)
+        server = DepotServer(DepotConfig(total_capacity=1 << 20, listen_addr="127.0.0.1:9"))
+        depot = server.depot
+        endpoint = DatagramDepot("d0", server, fabric)
         client = DatagramClient("client", fabric)
         from ebp.simnet import LinkParams
 
@@ -543,17 +544,6 @@ def test_acceptance_7_replica_failover(tmp_path):
 # =========================================================================
 
 
-class _LocalHost:
-    """Minimal dispatch host: one depot, one engine, local transfer only."""
-
-    def __init__(self, depot):
-        self.depot = depot
-        self.engine = NfuEngine(depot)
-
-    def handle_transfer(self, req):
-        return transfer(self.depot, req)
-
-
 @criterion("8", "wire conformance: goldens exact; 100k fuzz, only known errors")
 def test_acceptance_8_wire_conformance():
     for request, frozen in GOLDEN:
@@ -563,8 +553,8 @@ def test_acceptance_8_wire_conformance():
     assert len({req.verb for req, _ in GOLDEN}) == 9
 
     documented = {cls.code for cls in EbpError.__subclasses__()}
-    depot = Depot(DepotConfig(total_capacity=1 << 20), addr="127.0.0.1:9")
-    host = _LocalHost(depot)
+    host = DepotServer(DepotConfig(total_capacity=1 << 20, listen_addr="127.0.0.1:9"))
+    depot = host.depot
     seed_caps = depot.allocate(128, 3600, Hardness.SOFT)
     depot.store(seed_caps.write, 0, b"s" * 128)
     rng = random.Random(0xF022)

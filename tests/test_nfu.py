@@ -420,6 +420,38 @@ def test_successful_full_capacity_transform_clears_poison(rig):
     assert depot.load(out.read, 0, 8).unknown_state is False
 
 
+@pytest.mark.parametrize(
+    "op, params",
+    [("copy-range", {"length": "6"}), ("checksum-crc32", {}), ("rle-compress", {})],
+)
+def test_an_unknown_state_input_leaves_every_output_unknown_state(rig, op, params):
+    depot, engine = rig
+    src = buf(depot, b"abcdef")
+    clean, out = buf(depot, capacity=64), buf(depot, capacity=64)
+    assert run(engine, op, [src], [clean], params).outputs_state is OutputsState.DEFINED
+    depot.mark_unknown(src.write)
+    result = run(engine, op, [src], [out], params)
+    assert (result.status, result.outputs_state) == (TransformStatus.OK, OutputsState.UNKNOWN)
+    used = depot.used(out.read)
+    assert depot.load(out.read, 0, used) == (depot.load(clean.read, 0, used).data, True)
+
+
+def test_an_unknown_state_input_poisons_a_full_capacity_output(rig):
+    """A whole-buffer write clears the flag, so the poison comes after it."""
+    depot, engine = rig
+    src = buf(depot, b"abcdef")
+    empty = buf(depot, capacity=8)
+    out = buf(depot, capacity=6)
+    depot.mark_unknown(src.write)
+    depot.mark_unknown(empty.write)
+    assert run(engine, "copy-range", [src], [out], {"length": "6"}).outputs_state is OutputsState.UNKNOWN
+    assert depot.load(out.read, 0, 6) == (b"abcdef", True)
+    digest = buf(depot, capacity=4)
+    result = run(engine, "checksum-crc32", [empty], [digest])
+    assert result.outputs_state is OutputsState.UNKNOWN  # an empty input is read too
+    assert depot.load(digest.read, 0, 4).unknown_state is True
+
+
 def test_expired_input_rejected():
     t = [0.0]
     depot2 = Depot(DepotConfig(total_capacity=1 << 20), addr="127.0.0.1:9", clock=lambda: t[0])

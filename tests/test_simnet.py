@@ -9,9 +9,9 @@ import pytest
 from ebp import simnet
 from ebp.capability import Hardness, parse_capability
 from ebp.client import DepotClient
-from ebp.depot import Depot, DepotConfig
+from ebp.depot import DepotConfig
 from ebp.errors import ConnectionLost, NoSuchAllocation, Timeout, UnknownDepot
-from ebp.nfu import NfuEngine
+from ebp.server import DepotServer
 from ebp.simnet import (
     DatagramClient,
     DatagramDepot,
@@ -143,6 +143,18 @@ def test_duplication_executes_once_and_answers_from_cache():
         assert all(count == 1 for count in endpoint.exec_counts.values())
         with DepotClient(cluster.addrs()[0]) as cli:
             assert cli.stats().live_allocations == 1000
+
+
+def test_datagram_requests_are_counted_per_verb_by_the_server():
+    with SimCluster(1) as cluster:
+        client = cluster.datagram_client()
+        cluster.set_link("client", "d0", dup_rate=0.5)
+        alloc_op = drive(cluster, client, AllocateRequest(16, 60, Hardness.SOFT))
+        write_cap = parse_capability(parse_response_header(client.ops[alloc_op].response)[1][1])
+        drive(cluster, client, StoreRequest(write_cap, 0, b"xy"))
+        drive(cluster, client, StatsRequest())
+        counts = cluster.handle("d0").server.verb_counts
+        assert dict(counts) == {"ALLOCATE": 1, "STORE": 1, "STATS": 1}  # duplicates answered from cache
 
 
 def test_deferred_frame_waits_for_dependency():
@@ -480,8 +492,9 @@ def test_senders_reusing_op_ids_over_a_lossy_link_each_run_exactly_once(seed):
     rng = random.Random(seed)
     loop = EventLoop()
     fabric = Fabric(loop, seed=seed)
-    depot = Depot(DepotConfig(total_capacity=1 << 20), addr="127.0.0.1:9")
-    endpoint = DatagramDepot("d0", depot, NfuEngine(depot), fabric)
+    server = DepotServer(DepotConfig(total_capacity=1 << 20, listen_addr="127.0.0.1:9"))
+    depot = server.depot
+    endpoint = DatagramDepot("d0", server, fabric)
     slots, slot_bytes, n_ops = 8, 4, 60
     senders = {}
     for i in range(3):
