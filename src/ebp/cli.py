@@ -138,14 +138,14 @@ def put_cmd(file, depots, k, chunk, lease, output, as_json):
 @click.option("--json", "as_json", is_flag=True)
 @operational
 def get_cmd(exnode, output, parallel, as_json):
-    """Download the file an exNode describes, byte-exact."""
-    data = lors.download(read_exnode(exnode), parallelism=parallel)
-    with open(output, "wb") as fh:
-        fh.write(data)
+    """Download the file an exNode describes, byte-exact, straight into
+    OUTPUT, which is replaced only once every byte has arrived."""
+    x = read_exnode(exnode)
+    lors.download_to(x, output, parallelism=parallel)
     if as_json:
-        click.echo(json.dumps({"output": output, "bytes": len(data)}))
+        click.echo(json.dumps({"output": output, "bytes": x.total_length}))
     else:
-        click.echo(f"wrote {len(data)} bytes to {output}")
+        click.echo(f"wrote {x.total_length} bytes to {output}")
 
 
 @main.command("stat")

@@ -4,11 +4,11 @@ A session is one TCP connection. A lone request is written and its reply
 read before the next request goes out; callers needing parallelism open more
 sessions. Payloads larger than one frame are split into sequential 1 MiB
 pieces, and move in place: a STORE piece is a view of the caller's data, sent
-after its header by gathered writes, and a LOAD piece can be received
-straight into the caller's buffer. There are no hidden retries: a timeout on
-a side-effecting verb surfaces as ``Timeout`` and it is the caller's decision
-what to do next (retry safety exists only in datagram mode, where the
-receiver deduplicates).
+after its header by gathered writes, and a LOAD piece is received straight
+into the caller's buffer, or into the one ``bytearray`` the load returns.
+There are no hidden retries: a timeout on a side-effecting verb surfaces as
+``Timeout`` and it is the caller's decision what to do next (retry safety
+exists only in datagram mode, where the receiver deduplicates).
 
 ``probe_many`` and ``renew_many`` send a batch: up to ``MAX_IN_FLIGHT``
 requests in one write, then their replies read in order, each through the
@@ -135,28 +135,28 @@ class DepotClient:
                 return written
 
     def load(self, cap: Capability, offset: int, length: int, into=None) -> LoadResult:
-        """Read ``length`` bytes from ``offset`` in 1 MiB pieces.
-
-        Each piece is received straight into one buffer: ``into``, a
-        writable buffer of ``length`` bytes, which is then the result's
-        ``data`` (after an error its contents are undefined); otherwise a
-        buffer of the load's own, and ``data`` is its bytes.
+        """Read ``length`` bytes from ``offset`` in 1 MiB pieces, each
+        received straight into one buffer, which is the result's ``data``:
+        ``into``, a writable buffer of ``length`` bytes, or else a new
+        ``bytearray``. After an error the buffer's contents are undefined.
+        Every view this makes of the buffer is released on every exit.
         """
-        buf = bytearray(length) if into is None else into
-        view = memoryview(buf).cast("B")
-        if len(view) != length:
-            raise ValueError(f"buffer of {len(view)} bytes for a load of {length}")
+        if into is None:
+            into = bytearray(length)
         unknown = False
-        fetched = 0
-        while True:
-            n = min(PIECE_SIZE, length - fetched)
-            args = (cap, offset + fetched, n)
-            piece = view[fetched : fetched + n]
-            _, flag = self._request(LoadRequest, args, (partial(_exactly, n), _flag), into=piece)
-            unknown = unknown or flag
-            fetched += n
-            if fetched >= length:
-                return LoadResult(bytes(buf) if into is None else into, unknown)
+        with memoryview(into).cast("B") as view:
+            if len(view) != length:
+                raise ValueError(f"buffer of {len(view)} bytes for a load of {length}")
+            fetched = 0
+            while True:
+                n = min(PIECE_SIZE, length - fetched)
+                args, parsers = (cap, offset + fetched, n), (partial(_exactly, n), _flag)
+                with view[fetched : fetched + n] as piece:
+                    _, flag = self._request(LoadRequest, args, parsers, into=piece)
+                unknown = unknown or flag
+                fetched += n
+                if fetched >= length:
+                    return LoadResult(into, unknown)
 
     def probe(self, cap: Capability) -> ProbeInfo:
         return ProbeInfo(*self._request(ProbeRequest, (cap,), _PROBE_REPLY))

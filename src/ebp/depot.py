@@ -69,7 +69,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 from .capability import Capability, CapabilitySet, Hardness, Kind, new_key
 from .errors import (
@@ -150,7 +150,7 @@ class DepotStats(NamedTuple):
 
 
 class LoadResult(NamedTuple):
-    data: bytes
+    data: Union[bytes, bytearray, memoryview]  # a client's is its receive buffer
     unknown_state: bool
 
 

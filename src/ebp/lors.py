@@ -2,11 +2,16 @@
 
 Upload splits a byte sequence into fixed-size chunks: views of the caller's
 bytes, or read from a file by offset inside the worker that stores them, so
-at most ``parallelism`` chunks of a file are in memory. Download fetches
-extents in parallel, each received straight into its range of the result,
-trying each extent's replicas in list order and advancing on any error,
-including a replica whose bytes carry the unknown-state flag: flagged bytes
-are treated as a failed replica, never returned to the caller.
+at most ``parallelism`` chunks of a file are in memory. ``download`` and
+``download_to`` share one fetch loop: it fetches extents in parallel, each
+received straight into its range of the target, trying each extent's
+replicas in list order and advancing on any error, including a replica whose
+bytes carry the unknown-state flag: flagged bytes are treated as a failed
+replica, never returned to the caller. ``download`` receives into a new
+``bytearray`` and returns it. ``download_to`` receives into a caller's
+buffer, or, for a file path, into a memory map of a temporary file beside it
+that replaces the path only once every extent has arrived; a device or FIFO
+is written in place instead, never replaced.
 
 Upload and repair place replicas by one rule (``_place``): walk the candidate
 depots in order, skip those that hold the extent already, allocate, fill, and
@@ -25,7 +30,10 @@ is the policy daemon's job. Every request goes through a pooled
 
 from __future__ import annotations
 
+import mmap
 import os
+import secrets
+import stat
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
@@ -112,38 +120,125 @@ def download(
     *,
     parallelism: int = DEFAULT_PARALLELISM,
     timeout_ms: int = 5000,
-) -> bytes:
-    """Reassemble the full file; exact bytes or ExtentUnavailable."""
-    _check(exnode)
-    if exnode.total_length == 0:
-        return b""
+) -> bytearray:
+    """Reassemble the full file into a new ``bytearray`` and return it:
+    exact bytes or ExtentUnavailable. The returned buffer is the only
+    file-sized one; ``download_to`` fills one the caller owns, or a file."""
+    _check(exnode)  # before total_length sizes the buffer
     buffer = bytearray(exnode.total_length)
-    view = memoryview(buffer)
+    download_to(exnode, buffer, parallelism=parallelism, timeout_ms=timeout_ms)
+    return buffer
 
-    def fetch(extent: Extent) -> None:
-        # A replica that fails part way leaves bytes here; the next one
-        # overwrites the whole range.
-        target = view[extent.offset : extent.offset + extent.length]
-        failures = []
-        for replica in extent.replicas:
-            try:
-                with session(replica.depot_addr, timeout_ms) as cli:
-                    result = cli.load(replica.read, replica.base, extent.length, into=target)
-                if result.unknown_state:
-                    failures.append(f"{replica.depot_addr}: unknown-state bytes")
-                    continue
-                return
-            except EbpError as exc:
-                failures.append(f"{replica.depot_addr}: {exc.code}")
-        raise ExtentUnavailable(
-            f"logical range [{extent.offset}, {extent.offset + extent.length})"
-            f" unavailable: {'; '.join(failures)}"
-        )
 
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        for maybe_error in pool.map(fetch, exnode.extents):
-            _ = maybe_error  # exceptions re-raise from map
-    return bytes(buffer)
+def download_to(
+    exnode: ExNode,
+    target: Union[bytearray, memoryview, mmap.mmap, str, os.PathLike],
+    *,
+    parallelism: int = DEFAULT_PARALLELISM,
+    timeout_ms: int = 5000,
+) -> None:
+    """Receive the file into ``target``: a writable buffer of exactly
+    ``total_length`` bytes, or a file path. Raises ExtentUnavailable, naming
+    the range, when an extent has no replica that serves it whole and clean.
+
+    A buffer's contents are undefined after an error. A path is received
+    through ``_file_buffer``: into a memory map of a temporary file beside
+    it, renamed onto the path once every extent has arrived, and removed
+    after an error, so the path is left as it was. No file-sized Python
+    object is made unless the path cannot be replaced (a device or FIFO,
+    say; see there).
+
+    Every view of ``target`` is released on every exit, so no traceback
+    keeps it exported and a memory map can be closed.
+    """
+    _check(exnode)
+    if isinstance(target, (str, os.PathLike)):
+        with _file_buffer(target, exnode.total_length) as buffer:
+            download_to(exnode, buffer, parallelism=parallelism, timeout_ms=timeout_ms)
+        return
+    with memoryview(target).cast("B") as view:
+        if len(view) != exnode.total_length:
+            raise ValueError(f"buffer of {len(view)} bytes for a file of {exnode.total_length}")
+
+        def fetch(extent: Extent) -> None:
+            # A replica that fails part way leaves bytes in the range; the
+            # next one overwrites all of it.
+            failures = []
+            with view[extent.offset : extent.offset + extent.length] as part:
+                for replica in extent.replicas:
+                    try:
+                        with session(replica.depot_addr, timeout_ms) as cli:
+                            result = cli.load(replica.read, replica.base, extent.length, into=part)
+                        if not result.unknown_state:
+                            return
+                        failures.append(f"{replica.depot_addr}: unknown-state bytes")
+                    except EbpError as exc:
+                        failures.append(f"{replica.depot_addr}: {exc.code}")
+            raise ExtentUnavailable(
+                f"logical range [{extent.offset}, {extent.offset + extent.length})"
+                f" unavailable: {'; '.join(failures)}"
+            )
+
+        with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+            for maybe_error in pool.map(fetch, exnode.extents):
+                _ = maybe_error  # exceptions re-raise from map
+
+
+@contextmanager
+def _file_buffer(target, length: int) -> Iterator:
+    """A writable buffer of ``length`` bytes that becomes the file at
+    ``target`` when the block exits cleanly; after an error ``target`` is
+    left as it was.
+
+    For a new or regular file the buffer is a memory map of a temporary file
+    ``<path>.<8 hex>.part`` beside it, its space reserved up front (so a full
+    disk fails here, not as a fault in the map), flushed and renamed onto the
+    path. A replaced file's mode, and its owner where permitted, carry over;
+    a symlink stays and its target is replaced. A zero-length file is created
+    and not mapped. A path that must not be replaced (a device, FIFO or
+    terminal), or a regular file in a directory the caller cannot write,
+    gets a ``bytearray`` that is written to it in place afterwards, as
+    ``open(target, "wb")`` did before.
+    """
+    path = os.path.realpath(target)
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    fd = None
+    if st is None or stat.S_ISREG(st.st_mode):
+        # O_EXCL under a random name: no two downloads share a temporary file.
+        temp = f"{path}.{secrets.token_hex(4)}.part"
+        try:
+            fd = os.open(temp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600 if st else 0o666)
+        except PermissionError:
+            if st is None:
+                raise
+    if fd is None:
+        buffer = bytearray(length)
+        yield buffer
+        with open(target, "wb") as fh:
+            fh.write(buffer)
+        return
+    try:
+        if st is not None:
+            with suppress(OSError):
+                os.fchown(fd, st.st_uid, st.st_gid)
+            os.fchmod(fd, stat.S_IMODE(st.st_mode))
+        if length:
+            os.posix_fallocate(fd, 0, length)
+            with mmap.mmap(fd, length) as mapped:
+                yield mapped
+                mapped.flush()
+        else:
+            yield bytearray()
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
+    finally:
+        os.close(fd)
 
 
 def repair(

@@ -367,14 +367,15 @@ class Framer:
         self.sock = sock
         self.buf = bytearray()  # received, not yet consumed
 
-    def readline(self) -> bytes:
-        """One header line including its LF. MalformedFrame once more than
+    def readline(self) -> bytearray:
+        """One header line including its LF, as one copy out of the buffer
+        (the header parsers take it as it is). MalformedFrame once more than
         ``MAX_HEADER_BYTES`` arrive with no LF, since the stream cannot be
         re-synchronized; a longer terminated line is left to the parser."""
         while True:
             nl = self.buf.find(b"\n")
             if nl >= 0:
-                line = bytes(self.buf[: nl + 1])
+                line = self.buf[: nl + 1]
                 del self.buf[: nl + 1]
                 return line
             if len(self.buf) > MAX_HEADER_BYTES:

@@ -8,6 +8,7 @@ import os
 import random
 import socket
 import threading
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -16,11 +17,23 @@ import ebp.client as client_mod
 from ebp.capability import Capability, Hardness, Kind
 from ebp.client import DepotClient
 from ebp.exnode import Extent, Replica, make_exnode
-from ebp.lors import download, upload
+from ebp.errors import ExtentUnavailable
+from ebp.lors import download, download_to, upload
 from ebp.simnet import SimCluster
 from ebp.wire import Framer, StoreRequest, encode_request, parse_request_header
 
 MIB = 1024 * 1024
+
+
+def peak_allocated(fn):
+    """``(fn(), peak)``: the peak of Python allocations while ``fn`` ran,
+    over every thread, the in-process depots' included."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @contextmanager
@@ -135,7 +148,7 @@ def test_load_receives_into_the_callers_buffer():
             assert result.data.obj is target
         assert target == bytes(5) + data + bytes(5)
         plain = cli.load(caps.read, 1, 100)
-        assert isinstance(plain.data, bytes) and plain.data == data[1:101]
+        assert isinstance(plain.data, bytearray) and plain.data == data[1:101]
         with pytest.raises(ValueError):
             cli.load(caps.read, 0, 10, into=bytearray(9))
 
@@ -162,9 +175,50 @@ def test_download_fails_over_after_a_partial_extent():
         )
         x = make_exnode(len(data), [Extent(offset=0, length=len(data), replicas=replicas)])
         got = download(x, parallelism=1)
-    assert isinstance(got, bytes)
+    assert isinstance(got, bytearray)
     assert got == data
     assert len(received) == 1
+
+
+def test_download_to_a_path_fails_over_or_leaves_the_path_alone(tmp_path):
+    """A replica that fails part way into the file's memory map gives way to
+    the next; when none serves the extent, the temporary file goes and the
+    path keeps its old bytes. A symlinked path stays a symlink."""
+    data = random.Random(10).randbytes(3 * MIB)
+
+    def one_garbage_piece(conn, line, _payload) -> bool:
+        conn.sendall(b"OK %d 0\n" % MIB + b"\xee" * MIB)
+        return False
+
+    out = tmp_path / "out.bin"
+    out.write_bytes(b"old bytes")
+    with SimCluster(1) as cluster:
+        honest = cluster.addrs()[0]
+        with DepotClient(honest) as cli:
+            caps = cli.allocate(len(data), 60, Hardness.SOFT)
+            cli.store(caps.write, 0, data)
+        with fake_depot(one_garbage_piece) as (liar, _):
+            lying = Replica(depot_addr=liar, read=Capability(liar, 1, Kind.READ, "a" * 40))
+            x = make_exnode(len(data), [Extent(0, len(data), (lying,))])
+            with pytest.raises(ExtentUnavailable):
+                download_to(x, out, parallelism=1)
+        assert out.read_bytes() == b"old bytes"
+        assert os.listdir(tmp_path) == ["out.bin"]
+        with fake_depot(one_garbage_piece) as (liar, _):
+            lying = Replica(depot_addr=liar, read=Capability(liar, 1, Kind.READ, "a" * 40))
+            replicas = (lying, Replica(depot_addr=honest, read=caps.read))
+            download_to(make_exnode(len(data), [Extent(0, len(data), replicas)]), out)
+        assert out.read_bytes() == data
+        assert os.listdir(tmp_path) == ["out.bin"]
+        out.write_bytes(b"old bytes")
+        link = tmp_path / "link.bin"
+        link.symlink_to(out.name)
+        honest_only = (Replica(depot_addr=honest, read=caps.read),)
+        download_to(make_exnode(len(data), [Extent(0, len(data), honest_only)]), link)
+    assert link.is_symlink() and out.read_bytes() == data
+    assert sorted(os.listdir(tmp_path)) == ["link.bin", "out.bin"]
+    with pytest.raises(ValueError):
+        download_to(x, bytearray(len(data) - 1))
 
 
 def test_path_upload_reads_one_chunk_at_a_time(tmp_path, monkeypatch):
@@ -196,3 +250,26 @@ def test_path_upload_reads_one_chunk_at_a_time(tmp_path, monkeypatch):
         ]
 
     assert shape(from_path) == shape(from_bytes)
+
+
+# The in-process depots copy out each 1 MiB LOAD piece they send, so the
+# peaks below include one such copy per parallel fetch.
+
+
+def test_download_holds_one_file_sized_buffer():
+    data = random.Random(8).randbytes(8 * MIB)
+    with SimCluster(2) as cluster:
+        x = upload(data, cluster.addrs(), 2 * MIB, 1)
+        got, peak = peak_allocated(lambda: download(x, parallelism=2))
+    assert got == data
+    assert peak < 1.5 * len(data)
+
+
+def test_load_without_into_holds_one_load_sized_buffer():
+    data = random.Random(9).randbytes(4 * MIB)
+    with SimCluster(1) as cluster, DepotClient(cluster.addrs()[0]) as cli:
+        caps = cli.allocate(len(data), 60, Hardness.SOFT)
+        cli.store(caps.write, 0, data)
+        result, peak = peak_allocated(lambda: cli.load(caps.read, 0, len(data)))
+    assert result.data == data
+    assert peak < 1.5 * len(data)

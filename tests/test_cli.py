@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
 import signal
+import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -16,6 +19,8 @@ from click.testing import CliRunner
 from ebp.cli import depot_main, main, parse_budget, parse_size
 from ebp.client import DepotClient
 from ebp.capability import Hardness
+from ebp.exnode import make_exnode, write_exnode
+from ebp.lors import upload
 from ebp.simnet import SimCluster
 
 
@@ -82,6 +87,113 @@ def test_get_with_all_depots_down_exits_1_with_code(cluster, runner, tmp_path):
     result = runner.invoke(main, ["get", str(out), "-o", str(tmp_path / "x.bin")])
     assert result.exit_code == 1
     assert "ExtentUnavailable" in result.stderr
+
+
+def test_get_streams_into_the_file(cluster, runner, tmp_path):
+    """No file-sized Python object: the peak is the in-process depots'
+    1 MiB LOAD copies, one per parallel fetch."""
+    data = random.Random(22).randbytes(16 * 1024 * 1024)
+    xnd, dst = tmp_path / "f.xnd.json", tmp_path / "f.bin"
+    write_exnode(str(xnd), upload(data, cluster.addrs(), 4 * 1024 * 1024, 1))
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["get", str(xnd), "-o", str(dst), "--parallel", "2", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert peak < len(data) / 4
+    assert dst.read_bytes() == data
+    assert json.loads(result.output) == {"output": str(dst), "bytes": len(data)}
+
+
+def test_get_failure_leaves_an_existing_output_as_it_was(cluster, runner, tmp_path):
+    xnd, dst = tmp_path / "f.xnd.json", tmp_path / "f.bin"
+    write_exnode(str(xnd), upload(b"abc" * 1000, cluster.addrs(), 1000, 2))
+    dst.write_bytes(b"previous contents")
+    for name in cluster.names():
+        cluster.kill(name)
+    result = runner.invoke(main, ["get", str(xnd), "-o", str(dst)])
+    assert result.exit_code == 1
+    assert "ExtentUnavailable" in result.stderr
+    assert dst.read_bytes() == b"previous contents"
+    assert sorted(os.listdir(tmp_path)) == ["f.bin", "f.xnd.json"]
+
+
+def test_get_of_an_empty_exnode_writes_an_empty_file(runner, tmp_path):
+    xnd, dst = tmp_path / "empty.xnd.json", tmp_path / "empty.bin"
+    write_exnode(str(xnd), make_exnode(0, []))
+    dst.write_bytes(b"previous contents")
+    result = runner.invoke(main, ["get", str(xnd), "-o", str(dst), "--json"])
+    assert result.exit_code == 0, result.output
+    assert dst.read_bytes() == b""
+    assert json.loads(result.output)["bytes"] == 0
+
+
+def test_get_writes_a_fifo_in_place(cluster, runner, tmp_path):
+    """A path that is not a regular file is written, never replaced."""
+    data = random.Random(23).randbytes(3000)  # fits in a pipe's buffer
+    xnd, fifo = tmp_path / "f.xnd.json", tmp_path / "out.fifo"
+    write_exnode(str(xnd), upload(data, cluster.addrs(), 1000, 1))
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        result = runner.invoke(main, ["get", str(xnd), "-o", str(fifo)])
+        got = os.read(reader, 2 * len(data))
+    finally:
+        os.close(reader)
+    assert result.exit_code == 0, result.output
+    assert got == data
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["f.xnd.json", "out.fifo"]
+
+
+def test_get_keeps_an_existing_outputs_mode(cluster, runner, tmp_path):
+    xnd, dst = tmp_path / "f.xnd.json", tmp_path / "f.bin"
+    write_exnode(str(xnd), upload(b"secret" * 500, cluster.addrs(), 1000, 1))
+    dst.write_bytes(b"previous contents")
+    dst.chmod(0o600)
+    result = runner.invoke(main, ["get", str(xnd), "-o", str(dst)])
+    assert result.exit_code == 0, result.output
+    assert dst.read_bytes() == b"secret" * 500
+    assert stat.S_IMODE(dst.stat().st_mode) == 0o600
+
+
+def test_get_without_room_for_the_file_leaves_the_output(cluster, runner, tmp_path, monkeypatch):
+    """Space is reserved before anything is received, so a full disk is a
+    clean error that removes the temporary file."""
+    xnd, dst = tmp_path / "f.xnd.json", tmp_path / "f.bin"
+    write_exnode(str(xnd), upload(b"abc" * 1000, cluster.addrs(), 1000, 1))
+    dst.write_bytes(b"previous contents")
+
+    def no_space(fd, offset, length):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "posix_fallocate", no_space)
+    result = runner.invoke(main, ["get", str(xnd), "-o", str(dst)])
+    assert result.exit_code != 0
+    assert dst.read_bytes() == b"previous contents"
+    assert sorted(os.listdir(tmp_path)) == ["f.bin", "f.xnd.json"]
+
+
+def test_get_writes_in_place_without_a_temporary_file(cluster, runner, tmp_path, monkeypatch):
+    """As in a directory the caller cannot write: the existing file is
+    written in place once the whole file has arrived."""
+    xnd, dst = tmp_path / "f.xnd.json", tmp_path / "f.bin"
+    write_exnode(str(xnd), upload(b"abc" * 1000, cluster.addrs(), 1000, 1))
+    dst.write_bytes(b"previous contents")
+    real_open = os.open
+
+    def no_temporary_file(path, flags, *args):
+        if str(path).endswith(".part"):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", no_temporary_file)
+    result = runner.invoke(main, ["get", str(xnd), "-o", str(dst)])
+    assert result.exit_code == 0, result.output
+    assert dst.read_bytes() == b"abc" * 1000
+    assert sorted(os.listdir(tmp_path)) == ["f.bin", "f.xnd.json"]
 
 
 def test_put_without_depots_is_usage_error(runner, tmp_path, monkeypatch):
