@@ -18,8 +18,8 @@ report and never abort the loop. Ticks are idempotent in state: right after a
 tick there is nothing left to renew or repair, so a second tick at the same
 instant takes no actions.
 
-The scheduler never releases or shrinks an allocation. The exNode file is
-atomically rewritten only when repair changed its capabilities.
+Only a repair releases allocations: those of the replicas it drops. The
+exNode file is atomically rewritten only when repair changed its capabilities.
 """
 
 from __future__ import annotations

@@ -2,16 +2,22 @@
 
 Upload splits a byte sequence into fixed-size chunks: views of the caller's
 bytes, or read from a file by offset inside the worker that stores them, so
-at most ``parallelism`` chunks of a file are in memory. ``download`` and
-``download_to`` share one fetch loop: it fetches extents in parallel, each
-received straight into its range of the target, trying each extent's
-replicas in list order and advancing on any error, including a replica whose
-bytes carry the unknown-state flag: flagged bytes are treated as a failed
-replica, never returned to the caller. ``download`` receives into a new
-``bytearray`` and returns it. ``download_to`` receives into a caller's
-buffer, or, for a file path, into a memory map of a temporary file beside it
-that replaces the path only once every extent has arrived; a device or FIFO
-is written in place instead, never replaced.
+at most ``parallelism`` chunks of a file are in memory. Download receives
+each extent straight into its range of the target: a new ``bytearray``
+(``download``), a caller's buffer, or, for a file path, a memory map of a
+temporary file beside it that replaces the path only once every extent has
+arrived; a device or FIFO is written in place instead, never replaced.
+
+Every call reaches the depots through one ``_Call``, which keeps three rules
+once each:
+- a depot whose own session hit ``Timeout`` or ``ConnectionLost`` gets no
+  further connection attempt in that call;
+- upload and download run extents on ``parallelism`` threads, and none
+  starts after one has failed;
+- a replica whose LOAD fails or returns bytes with the unknown-state flag
+  has failed (``_load_clean``), and such bytes are never returned. Download
+  tries each extent's replicas in list order until one reads clean; repair
+  keeps a replica only if its extent's last byte does.
 
 Upload and repair place replicas by one rule (``_place``): walk the candidate
 depots in order, skip those that hold the extent already, allocate, fill, and
@@ -19,13 +25,12 @@ stop at ``k`` replicas. Upload fills by STORE and starts chunk ``i``'s
 candidates at depot ``i mod len(depots)``, so placement is deterministic;
 repair fills by TRANSFER from a surviving replica, so payload bytes never
 cross the repairing client's link. An allocation whose fill fails is
-released, and so, when a call fails, is every replica it placed (both
-best-effort). A depot whose own session hit ``Timeout`` or ``ConnectionLost``
-gets no further connection attempt in that call.
+released, and so, when a call fails, is every replica it placed; a repair
+that succeeds releases the replicas it dropped (all best-effort).
 
 The runtime is stateless: leases default to one hour and keeping them alive
-is the policy daemon's job. Every request goes through a pooled
-``client.session``, so consecutive operations on one depot share a connection.
+is the policy daemon's job. Requests go through pooled ``client.session``s,
+so consecutive operations on one depot share a connection.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import secrets
 import stat
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 from typing import Iterator, Optional, Union
 
@@ -83,13 +88,7 @@ def upload(
             extent = Extent(offset, len(chunk), ())
             return _place(call, extent, candidates, k, lambda cli, caps: cli.store(caps.write, 0, chunk))
 
-        pool = ThreadPoolExecutor(max_workers=max(1, parallelism))
-        try:
-            extents = list(pool.map(place, range(-(-total // chunk_size))))
-        finally:
-            # After a failure, the chunks in flight finish and no more start,
-            # so the call's release on exit finds every replica placed.
-            pool.shutdown(cancel_futures=True)
+        extents = call.map(place, range(-(-total // chunk_size)), parallelism)
     return make_exnode(total, extents, metadata)
 
 
@@ -126,7 +125,7 @@ def download(
     file-sized one; ``download_to`` fills one the caller owns, or a file."""
     _check(exnode)  # before total_length sizes the buffer
     buffer = bytearray(exnode.total_length)
-    download_to(exnode, buffer, parallelism=parallelism, timeout_ms=timeout_ms)
+    _fetch(exnode, buffer, parallelism, timeout_ms)
     return buffer
 
 
@@ -138,25 +137,21 @@ def download_to(
     timeout_ms: int = 5000,
 ) -> None:
     """Receive the file into ``target``: a writable buffer of exactly
-    ``total_length`` bytes, or a file path. Raises ExtentUnavailable, naming
-    the range, when an extent has no replica that serves it whole and clean.
-
-    A buffer's contents are undefined after an error. A path is received
-    through ``_file_buffer``: into a memory map of a temporary file beside
-    it, renamed onto the path once every extent has arrived, and removed
-    after an error, so the path is left as it was. No file-sized Python
-    object is made unless the path cannot be replaced (a device or FIFO,
-    say; see there).
-
-    Every view of ``target`` is released on every exit, so no traceback
-    keeps it exported and a memory map can be closed.
-    """
+    ``total_length`` bytes, whose contents are undefined after an error, or a
+    file path, left as it was after an error (see ``_file_buffer``). Raises
+    ExtentUnavailable, naming the range, when an extent has no replica that
+    serves it whole and clean."""
     _check(exnode)
-    if isinstance(target, (str, os.PathLike)):
-        with _file_buffer(target, exnode.total_length) as buffer:
-            download_to(exnode, buffer, parallelism=parallelism, timeout_ms=timeout_ms)
-        return
-    with memoryview(target).cast("B") as view:
+    path = isinstance(target, (str, os.PathLike))
+    with _file_buffer(target, exnode.total_length) if path else nullcontext(target) as buffer:
+        _fetch(exnode, buffer, parallelism, timeout_ms)
+
+
+def _fetch(exnode: ExNode, target, parallelism: int, timeout_ms: int) -> None:
+    """Receive a validated ``exnode`` into ``target``. Every view of it is
+    released on every exit, so no traceback keeps it exported and a memory
+    map can be closed."""
+    with memoryview(target).cast("B") as view, _Call(timeout_ms) as call:
         if len(view) != exnode.total_length:
             raise ValueError(f"buffer of {len(view)} bytes for a file of {exnode.total_length}")
 
@@ -166,22 +161,15 @@ def download_to(
             failures = []
             with view[extent.offset : extent.offset + extent.length] as part:
                 for replica in extent.replicas:
-                    try:
-                        with session(replica.depot_addr, timeout_ms) as cli:
-                            result = cli.load(replica.read, replica.base, extent.length, into=part)
-                        if not result.unknown_state:
-                            return
-                        failures.append(f"{replica.depot_addr}: unknown-state bytes")
-                    except EbpError as exc:
-                        failures.append(f"{replica.depot_addr}: {exc.code}")
+                    failures.append(_load_clean(call, replica, 0, extent.length, part))
+                    if failures[-1] is None:
+                        return
             raise ExtentUnavailable(
                 f"logical range [{extent.offset}, {extent.offset + extent.length})"
                 f" unavailable: {'; '.join(failures)}"
             )
 
-        with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-            for maybe_error in pool.map(fetch, exnode.extents):
-                _ = maybe_error  # exceptions re-raise from map
+        call.map(fetch, exnode.extents, parallelism)
 
 
 @contextmanager
@@ -255,14 +243,16 @@ def repair(
     New replicas go on ``depots`` in list order by upload's placement rule,
     each filled by a surviving replica's depot TRANSFERring the extent to it.
     Extents already at ``k`` are returned untouched (dead replica entries and
-    all); repaired extents keep only live replicas plus the new ones. A failed
-    repair (ExtentUnavailable, InsufficientDepots) releases what it placed.
+    all); repaired extents keep only live replicas plus the new ones, and the
+    replicas they drop are released. A failed repair (ExtentUnavailable,
+    InsufficientDepots) releases what it placed and none that it dropped.
     """
     _check(exnode)
-    extents = []
+    extents, dropped = [], []
     with _Call(timeout_ms, lease_s, hardness) as call:
         for extent in exnode.extents:
-            live = tuple(r for r in extent.replicas if _alive(call, r, extent.length))
+            # A replica is live when its extent's last byte loads clean.
+            live = tuple(r for r in extent.replicas if not _load_clean(call, r, extent.length - 1, 1))
             if len(live) >= k:
                 extents.append(extent)
                 continue
@@ -277,6 +267,10 @@ def repair(
                     src.transfer(source.read, source.base, caps.write, 0, length)
 
             extents.append(_place(call, replace(extent, replicas=live), depots, k, transfer))
+            dropped += (r for r in extent.replicas if r not in live)
+        # Only the caller's exNode names the dropped replicas now; had the
+        # repair failed, it would still need them.
+        call.release([(r.depot_addr, r.manage) for r in dropped if r.manage])
     return replace(exnode, extents=tuple(extents))
 
 
@@ -287,10 +281,10 @@ def release_all(exnode: ExNode, *, timeout_ms: int = 5000) -> int:
 
 
 class _Call:
-    """What one upload, repair or release_all shares across its extents and
-    worker threads: its settings, the replicas it placed, and the depots it
-    found unreachable. Used as a context manager, it releases every replica
-    it placed when the call fails, since no exNode will name them."""
+    """What one upload, download, repair or release_all shares across its
+    extents and worker threads: its settings, the replicas it placed, and the
+    depots it found unreachable. Used as a context manager, it releases every
+    replica it placed when the call fails, since no exNode will name them."""
 
     def __init__(
         self, timeout_ms: int, lease_s: int = DEFAULT_LEASE_S, hardness: Hardness = Hardness.SOFT
@@ -320,6 +314,24 @@ class _Call:
                 with self._lock:
                     self._unreachable.setdefault(addr, exc)
             raise
+
+    def map(self, fn, items, parallelism: int) -> list:
+        """``[fn(item) for item in items]`` on ``parallelism`` threads. After
+        a failure no item starts; the first failure in item order is raised
+        once the items in flight have finished, so none outlives the call."""
+        failed = threading.Event()
+
+        def run(item):
+            if failed.is_set():
+                return None  # never seen: an earlier item's failure is raised
+            try:
+                return fn(item)
+            except BaseException:
+                failed.set()
+                raise
+
+        with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+            return list(pool.map(run, items))
 
     def release(self, placed: list) -> int:
         """Best-effort release of ``(depot address, manage capability)``
@@ -370,15 +382,17 @@ def _place(call: _Call, extent: Extent, candidates, k: int, fill) -> Extent:
     return replace(extent, replicas=tuple(replicas))
 
 
-def _alive(call: _Call, replica: Replica, length: int) -> bool:
-    """Whether reading the extent's last byte works and is unflagged: the
-    allocation exists, its lease is current, the range is whole and trusted."""
+def _load_clean(call: _Call, replica: Replica, start: int, length: int, *into) -> Optional[str]:
+    """LOAD ``length`` bytes at ``start`` of ``replica``'s extent through
+    ``call``, into ``into`` (one buffer) if given. Returns None if they
+    arrived whole and without the unknown-state flag, else why not: the one
+    place where download and repair judge a replica."""
     try:
         with call.session(replica.depot_addr) as cli:
-            result = cli.load(replica.read, replica.base + max(0, length - 1), min(length, 1))
-        return not result.unknown_state
-    except EbpError:
-        return False
+            result = cli.load(replica.read, replica.base + start, length, *into)
+    except EbpError as exc:
+        return f"{replica.depot_addr}: {exc.code}"
+    return f"{replica.depot_addr}: unknown-state bytes" if result.unknown_state else None
 
 
 def _check(exnode: ExNode) -> None:

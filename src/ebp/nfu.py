@@ -97,11 +97,11 @@ class TransformResult:
 
 
 class _BudgetStop(Exception):
-    pass
+    status = TransformStatus.BUDGET_EXCEEDED
 
 
 class _OpFault(Exception):
-    pass
+    status = TransformStatus.OP_FAULT
 
 
 class OpContext:
@@ -224,37 +224,21 @@ class NfuEngine:
         self._validate_caps(spec)
         with self._locks_for(spec.outputs):
             ctx = OpContext(self.depot, spec)
+            status = TransformStatus.OK
             try:
                 fn(ctx)
                 ctx.check_wall()
-            except _BudgetStop:
-                self._poison_outputs(spec)
-                return TransformResult(
-                    TransformStatus.BUDGET_EXCEEDED,
-                    ctx.io_bytes_used,
-                    ctx.wall_ms_used(),
-                    OutputsState.UNKNOWN,
-                )
-            except _OpFault:
-                self._poison_outputs(spec)
-                return TransformResult(
-                    TransformStatus.OP_FAULT,
-                    ctx.io_bytes_used,
-                    ctx.wall_ms_used(),
-                    OutputsState.UNKNOWN,
-                )
+            except (_BudgetStop, _OpFault) as stop:
+                status = stop.status
             except EbpError:
                 # Lease or admission trouble mid-run: same unknown-state rule.
                 self._poison_outputs(spec)
                 raise
-            if ctx.read_unknown:
+            clean = status is TransformStatus.OK and not ctx.read_unknown
+            if not clean:
                 self._poison_outputs(spec)
-            return TransformResult(
-                TransformStatus.OK,
-                ctx.io_bytes_used,
-                ctx.wall_ms_used(),
-                OutputsState.UNKNOWN if ctx.read_unknown else OutputsState.DEFINED,
-            )
+            state = OutputsState.DEFINED if clean else OutputsState.UNKNOWN
+            return TransformResult(status, ctx.io_bytes_used, ctx.wall_ms_used(), state)
 
     def _validate_caps(self, spec: TransformSpec) -> None:
         for cap in (*spec.inputs, *spec.outputs):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import socket
 import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -170,6 +172,50 @@ def test_download_skips_unknown_state_replica(cluster):
     assert download(x) == data  # second replica served it
 
 
+def test_download_makes_at_most_one_connection_attempt_to_a_dead_depot(cluster, connections):
+    data = random.Random(9).randbytes(48_000)
+    x = upload(data, cluster.addrs(), chunk_size=1000, k=2)
+    dead = cluster.handle("d0").addr
+    cluster.kill("d0")
+    connections.clear()
+    assert download(x, parallelism=1, timeout_ms=500) == data
+    assert connections[dead] <= 1
+
+
+def test_download_waits_out_a_hung_depot_once(cluster):
+    data = random.Random(10).randbytes(24_000)
+    x = upload(data, cluster.addrs(), chunk_size=1000, k=2)
+    hung = cluster.handle("d0").addr
+    assert sum(e.replicas[0].depot_addr == hung for e in x.extents) == 8
+    cluster.kill("d0")
+    # A listener on the dead depot's port: connections open, no reply comes.
+    host, port = hung.rsplit(":", 1)
+    with socket.socket() as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, int(port)))
+        listener.listen(16)
+        started = time.monotonic()
+        assert download(x, parallelism=1, timeout_ms=300) == data
+        assert time.monotonic() - started < 0.6
+
+
+def test_download_starts_no_extent_after_one_failed(cluster, monkeypatch):
+    x = upload(b"z" * 10_000, cluster.addrs()[:1], chunk_size=1000, k=1)
+    release_all(x)
+    loads = Counter()
+    real_load = DepotClient.load
+
+    def counting_load(self, *args, **kwargs):
+        loads[self.addr] += 1
+        return real_load(self, *args, **kwargs)
+
+    monkeypatch.setattr(DepotClient, "load", counting_load)
+    with pytest.raises(ExtentUnavailable) as excinfo:
+        download(x, parallelism=1)
+    assert sum(loads.values()) == 1  # extent 0's one replica; extent 1 never starts
+    assert "[0, 1000)" in str(excinfo.value)
+
+
 # ------------------------------------------------------------------ repair
 
 
@@ -254,6 +300,19 @@ def test_failed_repair_releases_every_replica_it_placed():
         assert "last error: ResourceExhausted" in failure.value.message
 
 
+def test_repair_releases_the_poisoned_replica_it_drops(cluster):
+    d0, d1, _ = cluster.addrs()
+    x = upload(bytes(21_000), [d0, d1], chunk_size=21_000, k=2)
+    poisoned = x.extents[0].replicas[0]
+    assert poisoned.depot_addr == d0
+    cluster.handle("d0").server.depot.mark_unknown(poisoned.manage)
+    repaired = repair(x, 2, cluster.addrs())
+    assert poisoned not in repaired.extents[0].replicas
+    assert live_allocations(cluster) == named_on(cluster.addrs(), repaired)
+    assert release_all(repaired) == 2
+    assert live_allocations(cluster) == [0, 0, 0]
+
+
 def test_repair_makes_at_most_one_connection_attempt_to_a_dead_depot(cluster, connections):
     data = random.Random(7).randbytes(400_000)
     x = upload(data, cluster.addrs(), chunk_size=100_000, k=2)
@@ -306,9 +365,10 @@ def named_on(addrs: list, exnode) -> list:
     dead=st.one_of(st.none(), st.integers(0, 2)),
     kill_before_upload=st.booleans(),
     drop=st.integers(0, 1000),
+    poison=st.booleans(),
 )
 def test_no_call_leaves_an_allocation_that_no_exnode_names(
-    capacities, size, chunk_size, k, dead, kill_before_upload, drop
+    capacities, size, chunk_size, k, dead, kill_before_upload, drop, poison
 ):
     overrides = [{"total_capacity": c} for c in capacities]
     with SimCluster(3, per_depot_overrides=overrides) as cluster:
@@ -325,10 +385,13 @@ def test_no_call_leaves_an_allocation_that_no_exnode_names(
         assert live_allocations(cluster, up) == named_on(up, x)
         if x is None:
             return
-        # Release one replica, and drop it from the exNode that still names
-        # the rest should the repair fail.
+        # Release or poison one replica. Should the repair fail, the exNode
+        # that still names the rest drops a released one and keeps a poisoned
+        # one, which still holds its allocation.
         lost = [r for e in x.extents for r in e.replicas][drop % sum(len(e.replicas) for e in x.extents)]
-        if lost.depot_addr in up:
+        if lost.depot_addr in up and poison:
+            cluster.handle(f"d{addrs.index(lost.depot_addr)}").server.depot.mark_unknown(lost.manage)
+        elif lost.depot_addr in up:
             with DepotClient(lost.depot_addr) as cli:
                 cli.release(lost.manage)
         survivors = replace(
@@ -337,7 +400,7 @@ def test_no_call_leaves_an_allocation_that_no_exnode_names(
         try:
             named = repair(x, k, addrs, timeout_ms=500)
         except EbpError:
-            named = survivors
+            named = x if poison else survivors
         assert live_allocations(cluster, up) == named_on(up, named)
 
 
