@@ -47,7 +47,6 @@ class Hardness(enum.Enum):
 
 
 _HARDNESS_RANK = {Hardness.BEST_EFFORT: 0, Hardness.SOFT: 1, Hardness.HARD: 2}
-_TIERS = {tier.value: tier for tier in Hardness}
 
 # host, port, alloc_id, key, kind
 _CAP_RE = re.compile(r"ebp://([A-Za-z0-9._-]+):(\d{1,5})/(\d+)/([0-9a-f]{40})/(read|write|manage)")
@@ -98,13 +97,6 @@ def parse_capability(text: str) -> Capability:
     if alloc_id > MAX_U64:
         raise MalformedFrame("alloc_id out of 64-bit range")
     return Capability(f"{host}:{port}", alloc_id, _KINDS[kind], key)
-
-
-def parse_hardness(token: str) -> Hardness:
-    try:
-        return _TIERS[token]
-    except (KeyError, TypeError):
-        raise MalformedFrame(f"bad hardness tier: {token!r}") from None
 
 
 @dataclass(frozen=True)

@@ -42,13 +42,12 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from functools import partial
 from typing import Iterator, NamedTuple, Optional
 
-from .capability import Capability, CapabilitySet, Hardness, parse_capability, parse_hardness
+from .capability import Capability, CapabilitySet, Hardness
 from .depot import LoadResult
 from .errors import ConnectionLost, EbpError, MalformedFrame, Timeout, error_for_code
-from .nfu import OutputsState, ResourceBudget, TransformResult, TransformStatus
+from .nfu import ResourceBudget, TransformResult
 from .wire import (
     AllocateRequest,
     Framer,
@@ -56,15 +55,14 @@ from .wire import (
     ProbeRequest,
     ReleaseRequest,
     RenewRequest,
-    Request,
     StatsRequest,
     StoreRequest,
     TransferRequest,
     TransformRequest,
     encode_header,
     encode_request,
+    parse_ok,
     parse_response_header,
-    parse_uint,
     send_parts,
 )
 
@@ -77,8 +75,6 @@ IDLE_MAX_AGE_S = 30.0
 # while it answers, and the replies of a full window fit in its socket
 # buffer, so neither side waits on the other with both buffers full.
 MAX_IN_FLIGHT = 64
-
-_PROBE_REPLY = (parse_uint, parse_uint, parse_uint, parse_hardness)
 
 # Error codes after which the stream may be out of step with the depot.
 _DESYNC_CODES = frozenset(cls.code for cls in (Timeout, ConnectionLost, MalformedFrame))
@@ -120,7 +116,7 @@ class DepotClient:
 
     def allocate(self, capacity: int, duration: int, hardness: Hardness) -> CapabilitySet:
         args = (capacity, duration, hardness)
-        return CapabilitySet(*self._request(AllocateRequest, args, (parse_capability,) * 3))
+        return CapabilitySet(*self._request(AllocateRequest, args))
 
     def store(self, cap: Capability, offset: int, data: bytes) -> int:
         """Write ``data`` (any bytes-like object) at ``offset``, split into
@@ -130,7 +126,7 @@ class DepotClient:
         while True:
             piece = view[written : written + PIECE_SIZE]
             args = (cap, offset + written, piece)
-            written += self._request(StoreRequest, args, (partial(_exactly, len(piece)),))[0]
+            written += self._request(StoreRequest, args, len(piece))[0]
             if written >= len(view):
                 return written
 
@@ -150,20 +146,19 @@ class DepotClient:
             fetched = 0
             while True:
                 n = min(PIECE_SIZE, length - fetched)
-                args, parsers = (cap, offset + fetched, n), (partial(_exactly, n), _flag)
                 with view[fetched : fetched + n] as piece:
-                    _, flag = self._request(LoadRequest, args, parsers, into=piece)
+                    _, flag = self._request(LoadRequest, (cap, offset + fetched, n), n, piece)
                 unknown = unknown or flag
                 fetched += n
                 if fetched >= length:
                     return LoadResult(into, unknown)
 
     def probe(self, cap: Capability) -> ProbeInfo:
-        return ProbeInfo(*self._request(ProbeRequest, (cap,), _PROBE_REPLY))
+        return ProbeInfo(*self._request(ProbeRequest, (cap,)))
 
     def renew(self, cap: Capability, extension: int) -> int:
         """Returns the renewed lease's remaining lifetime in milliseconds."""
-        return self._request(RenewRequest, (cap, extension), (parse_uint,))[0]
+        return self._request(RenewRequest, (cap, extension))[0]
 
     def probe_many(self, caps) -> list:
         """PROBE each of ``caps`` in one batch: a ProbeInfo, or the EbpError
@@ -178,14 +173,14 @@ class DepotClient:
         return self._batch(reqs, lambda cap: self.renew(cap, extension))
 
     def release(self, cap: Capability) -> None:
-        self._request(ReleaseRequest, (cap,), ())
+        self._request(ReleaseRequest, (cap,))
 
     def transfer(
         self, src: Capability, src_offset: int, dst: Capability, dst_offset: int, length: int
     ) -> int:
         """Ask the *source* depot (this session's depot) to push a range."""
         args = (src, src_offset, dst, dst_offset, length)
-        return self._request(TransferRequest, args, (parse_uint,))[0]
+        return self._request(TransferRequest, args)[0]
 
     def transform(
         self,
@@ -195,29 +190,23 @@ class DepotClient:
         budget: ResourceBudget,
         params: Optional[dict] = None,
     ) -> TransformResult:
-        args = (
-            op_name,
-            tuple(inputs),
-            tuple(outputs),
-            budget.max_wall_ms,
-            budget.max_scratch_bytes,
-            budget.max_io_bytes,
-            tuple((k, _param_text(v)) for k, v in (params or {}).items()),
-        )
-        parsers = (TransformStatus, parse_uint, parse_uint, OutputsState)
-        return TransformResult(*self._request(TransformRequest, args, parsers))
+        limits = (budget.max_wall_ms, budget.max_scratch_bytes, budget.max_io_bytes)
+        texts = tuple((k, _param_text(v)) for k, v in (params or {}).items())
+        args = (op_name, tuple(inputs), tuple(outputs), *limits, texts)
+        return TransformResult(*self._request(TransformRequest, args))
 
     def stats(self) -> StatsInfo:
-        numbers = self._request(StatsRequest, (), (parse_uint,) * 7)
+        numbers = self._request(StatsRequest, ())
         return StatsInfo(*numbers[:4], preemptions=tuple(numbers[4:]))
 
     # ------------------------------------------------------------- transport
 
-    def _request(self, make: type, args: tuple, parsers: tuple, into=None) -> list:
+    def _request(self, make: type, args: tuple, count: Optional[int] = None, into=None) -> list:
         """Send the request ``make(*args)``, unless a batch has written it
-        already, and return its reply tokens, each through its parser.
-        With ``into``, the reply's payload, whose length the first parser
-        has checked, is received into it. A reply of the wrong shape raises
+        already, and return its OK reply's values, read as the verb's
+        ``VERB_TABLE`` row says. With ``count``, the first value, a STORE's
+        or a LOAD's byte count, must equal it, and is checked before ``into``
+        receives the reply's payload. A reply of the wrong shape raises
         MalformedFrame and closes the session: the stream can no longer be
         trusted."""
         self.in_sync = False
@@ -235,7 +224,13 @@ class DepotClient:
                 code, message = tokens
                 self.in_sync = code not in _DESYNC_CODES and not self._unread
                 raise error_for_code(code, message)
-            values = self._parse_reply(req, parsers, tokens)
+            try:
+                values = parse_ok(req.verb, tokens)
+                if count is not None and values[0] != count:
+                    raise MalformedFrame(f"{values[0]} bytes where {count} were asked for")
+            except MalformedFrame as exc:
+                self.close()
+                raise MalformedFrame(f"{req.verb} reply from {self.addr}: {exc}") from None
             if into is not None:
                 self._framer.read_into(into)
         except socket.timeout as exc:
@@ -283,15 +278,6 @@ class DepotClient:
             self.close()
         return results
 
-    def _parse_reply(self, req: Request, parsers: tuple, tokens: tuple) -> list:
-        try:
-            if len(tokens) != len(parsers):
-                raise MalformedFrame(f"{len(tokens)} tokens, expected {len(parsers)}")
-            return [parse(token) for parse, token in zip(parsers, tokens)]
-        except (EbpError, ValueError) as exc:
-            self.close()
-            raise MalformedFrame(f"{req.verb} reply from {self.addr}: {exc}") from None
-
     def _idle_closed(self) -> bool:
         """True when an idle session has something to read: the depot closed it."""
         if self._framer.buf or self._sock.fileno() < 0:
@@ -315,19 +301,6 @@ class DepotClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _exactly(n: int, token: str) -> int:
-    """Parser, with ``n`` bound, of a reply token that must be ``n`` bytes."""
-    if parse_uint(token) != n:
-        raise MalformedFrame(f"{token} bytes where {n} were asked for")
-    return n
-
-
-def _flag(token: str) -> bool:
-    if token not in ("0", "1"):
-        raise MalformedFrame(f"flag must be 0 or 1, got {token!r}")
-    return token == "1"
 
 
 def _param_text(value):

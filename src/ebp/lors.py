@@ -26,7 +26,7 @@ candidates at depot ``i mod len(depots)``, so placement is deterministic;
 repair fills by TRANSFER from a surviving replica, so payload bytes never
 cross the repairing client's link. An allocation whose fill fails is
 released, and so, when a call fails, is every replica it placed; a repair
-that succeeds releases the replicas it dropped (all best-effort).
+that succeeds releases the dropped replicas not already gone (best-effort).
 
 The runtime is stateless: leases default to one hour and keeping them alive
 is the policy daemon's job. Requests go through pooled ``client.session``s,
@@ -47,7 +47,7 @@ from typing import Iterator, Optional, Union
 
 from .capability import Hardness
 from .client import session
-from .errors import EbpError, ExtentUnavailable, InsufficientDepots, ValidationFailed
+from .errors import EbpError, ExtentUnavailable, InsufficientDepots, NoSuchAllocation, ValidationFailed
 from .exnode import ExNode, Extent, Replica, make_exnode, validate
 
 DEFAULT_LEASE_S = 3600
@@ -161,9 +161,10 @@ def _fetch(exnode: ExNode, target, parallelism: int, timeout_ms: int) -> None:
             failures = []
             with view[extent.offset : extent.offset + extent.length] as part:
                 for replica in extent.replicas:
-                    failures.append(_load_clean(call, replica, 0, extent.length, part))
-                    if failures[-1] is None:
+                    why = _load_clean(call, replica, 0, extent.length, part)
+                    if why is None:
                         return
+                    failures.append(f"{replica.depot_addr}: {why}")
             raise ExtentUnavailable(
                 f"logical range [{extent.offset}, {extent.offset + extent.length})"
                 f" unavailable: {'; '.join(failures)}"
@@ -244,15 +245,17 @@ def repair(
     each filled by a surviving replica's depot TRANSFERring the extent to it.
     Extents already at ``k`` are returned untouched (dead replica entries and
     all); repaired extents keep only live replicas plus the new ones, and the
-    replicas they drop are released. A failed repair (ExtentUnavailable,
-    InsufficientDepots) releases what it placed and none that it dropped.
+    replicas they drop are released unless their LOAD said NoSuchAllocation.
+    A failed repair (ExtentUnavailable, InsufficientDepots) releases what it
+    placed and none that it dropped.
     """
     _check(exnode)
     extents, dropped = [], []
     with _Call(timeout_ms, lease_s, hardness) as call:
         for extent in exnode.extents:
             # A replica is live when its extent's last byte loads clean.
-            live = tuple(r for r in extent.replicas if not _load_clean(call, r, extent.length - 1, 1))
+            checked = [(r, _load_clean(call, r, extent.length - 1, 1)) for r in extent.replicas]
+            live = tuple(r for r, why in checked if why is None)
             if len(live) >= k:
                 extents.append(extent)
                 continue
@@ -267,7 +270,8 @@ def repair(
                     src.transfer(source.read, source.base, caps.write, 0, length)
 
             extents.append(_place(call, replace(extent, replicas=live), depots, k, transfer))
-            dropped += (r for r in extent.replicas if r not in live)
+            # An allocation already gone needs no release; an expired one does.
+            dropped += (r for r, why in checked if why not in (None, NoSuchAllocation.code))
         # Only the caller's exNode names the dropped replicas now; had the
         # repair failed, it would still need them.
         call.release([(r.depot_addr, r.manage) for r in dropped if r.manage])
@@ -385,14 +389,14 @@ def _place(call: _Call, extent: Extent, candidates, k: int, fill) -> Extent:
 def _load_clean(call: _Call, replica: Replica, start: int, length: int, *into) -> Optional[str]:
     """LOAD ``length`` bytes at ``start`` of ``replica``'s extent through
     ``call``, into ``into`` (one buffer) if given. Returns None if they
-    arrived whole and without the unknown-state flag, else why not: the one
-    place where download and repair judge a replica."""
+    arrived whole and without the unknown-state flag, else the error code or
+    "unknown-state bytes": the one place where download and repair judge a replica."""
     try:
         with call.session(replica.depot_addr) as cli:
             result = cli.load(replica.read, replica.base + start, length, *into)
     except EbpError as exc:
-        return f"{replica.depot_addr}: {exc.code}"
-    return f"{replica.depot_addr}: unknown-state bytes" if result.unknown_state else None
+        return exc.code
+    return "unknown-state bytes" if result.unknown_state else None
 
 
 def _check(exnode: ExNode) -> None:

@@ -49,7 +49,6 @@ from collections import defaultdict
 from contextlib import nullcontext, suppress
 from typing import Optional
 
-from .capability import Capability
 from .client import session
 from .depot import Depot, DepotConfig
 from .errors import (
@@ -63,6 +62,8 @@ from .errors import (
 )
 from .nfu import NfuEngine, ResourceBudget, TransformSpec
 from .wire import (
+    CAP,
+    VERB_TABLE,
     ErrResponse,
     Framer,
     OkResponse,
@@ -82,10 +83,9 @@ SWEEP_PERIOD_S = 1.0
 
 
 def dispatch_request(req: Request, server: "DepotServer") -> Response:
-    """Map one decoded request onto depot/engine calls and wire tokens."""
+    """Run one decoded request and encode its OK reply by its ``VERB_TABLE`` row."""
     try:
-        result = _HANDLERS[req.verb](req, server)
-        return result if isinstance(result, OkResponse) else OkResponse(result)
+        return VERB_TABLE[req.verb].ok(_HANDLERS[req.verb](req, server))
     except EbpError as exc:
         return ErrResponse(exc.code, exc.message)
     except ValueError as exc:
@@ -99,12 +99,7 @@ def _remaining_ms(depot: Depot, expiry: float) -> int:
     return max(0, int((expiry - depot.now()) * 1000))
 
 
-# Per-verb handlers: (request, server) -> reply tokens, or an OkResponse with a payload.
-
-
-def _load(req, server) -> OkResponse:
-    data, unknown = server.depot.load(req.cap, req.offset, req.length)
-    return OkResponse((str(len(data)), "1" if unknown else "0"), data)
+# Per-verb handlers: (request, server) -> the values of the OK reply.
 
 
 def _release(req, server) -> tuple:
@@ -114,50 +109,34 @@ def _release(req, server) -> tuple:
 
 def _probe(req, server) -> tuple:
     capacity, used, expiry, tier = server.depot.probe(req.cap)
-    return str(capacity), str(used), str(_remaining_ms(server.depot, expiry)), tier.value
+    return capacity, used, _remaining_ms(server.depot, expiry), tier
 
 
 def _transform(req, server) -> tuple:
-    keys = [k for k, _ in req.params]
-    if len(set(keys)) != len(keys):
+    params = dict(req.params)
+    if len(params) != len(req.params):
         raise MalformedFrame("duplicate transform param keys")
     budget = ResourceBudget(req.max_wall_ms, req.max_scratch_bytes, req.max_io_bytes)
-    spec = TransformSpec(
-        op_name=req.op_name,
-        inputs=req.inputs,
-        outputs=req.outputs,
-        params=dict(req.params),
-        budget=budget,
-    )
-    result = server.engine.execute(spec)
-    return (
-        result.status.value,
-        str(result.io_bytes_used),
-        str(result.wall_ms_used),
-        result.outputs_state.value,
-    )
+    result = server.engine.execute(TransformSpec(req.op_name, req.inputs, req.outputs, params, budget))
+    return result.status, result.io_bytes_used, result.wall_ms_used, result.outputs_state
 
 
 def _stats(req, server) -> tuple:
     stats = server.depot.stats()
-    pre = stats.preemptions
-    tiers = sorted(pre, key=lambda t: t.rank)
-    counts = (stats.sum_hard, stats.sum_soft, stats.bytes_in_use, stats.live_allocations)
-    return tuple(str(n) for n in (*counts, *(pre[tier] for tier in tiers)))
+    by_rank = sorted(stats.preemptions.items(), key=lambda item: item[0].rank)
+    return (*stats[:4], *(count for _, count in by_rank))
 
 
 _HANDLERS = {
-    "ALLOCATE": lambda req, server: tuple(
-        cap.text() for cap in server.depot.allocate(req.capacity, req.duration, req.tier)
-    ),
-    "STORE": lambda req, server: (str(server.depot.store(req.cap, req.offset, req.payload)),),
-    "LOAD": _load,
+    "ALLOCATE": lambda req, server: tuple(server.depot.allocate(req.capacity, req.duration, req.tier)),
+    "STORE": lambda req, server: (server.depot.store(req.cap, req.offset, req.payload),),
+    "LOAD": lambda req, server: server.depot.load(req.cap, req.offset, req.length),
     "RENEW": lambda req, server: (
-        str(_remaining_ms(server.depot, server.depot.renew(req.cap, req.extension))),
+        _remaining_ms(server.depot, server.depot.renew(req.cap, req.extension)),
     ),
     "RELEASE": _release,
     "PROBE": _probe,
-    "TRANSFER": lambda req, server: (str(server.handle_transfer(req)),),
+    "TRANSFER": lambda req, server: (server.handle_transfer(req),),
     "TRANSFORM": _transform,
     "STATS": _stats,
 }
@@ -344,10 +323,10 @@ class DepotServer:
 
 
 def _alloc_id_of(req: Request) -> str:
-    for attr in ("cap", "src"):
-        cap = getattr(req, attr, None)
-        if isinstance(cap, Capability):
-            return str(cap.alloc_id)
+    """The allocation id of the request's first CAP field, or "-"."""
+    for name, kind in VERB_TABLE[req.verb].fields:
+        if kind is CAP:
+            return str(getattr(req, name).alloc_id)
     return "-"
 
 

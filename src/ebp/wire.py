@@ -21,16 +21,17 @@ Two transports share one request vocabulary:
                 <max_wall_ms> <max_scratch> <max_io> <n_params> <k v ...>
       STATS
 
-  Responses are ``OK <tokens...>`` or ``ERR <ErrorCode> <message>``; LOAD's
-  OK carries a payload. Durations travel as relative times (seconds in
-  requests, integer milliseconds remaining in responses): absolute values of
-  one node's monotonic clock mean nothing to another node. ``Framer`` reads
-  header lines and payloads off a socket for both the depot and the client,
-  a payload straight into the buffer it is bound for. The depot does not
-  read a STORE payload before running the request: ``Payload`` stands in
-  for the bytes, and the depot receives it into the allocation itself.
-  ``send_parts`` writes a header and its payload with gathered ``sendmsg``
-  calls, never copying the payload next to the header.
+  Responses are ``OK <tokens...>``, the tokens as the verb's ``VERB_TABLE``
+  row declares them (LOAD's first is the length of the payload that
+  follows), or ``ERR <ErrorCode> <message>``. Durations travel as relative
+  times (seconds in requests, integer milliseconds remaining in responses):
+  absolute values of one node's monotonic clock mean nothing to another
+  node. ``Framer`` reads header lines and payloads off a socket for both the
+  depot and the client, a payload straight into the buffer it is bound for.
+  The depot does not read a STORE payload before running the request:
+  ``Payload`` stands in for the bytes, and the depot receives it into the
+  allocation itself. ``send_parts`` writes a header and its payload with
+  gathered ``sendmsg`` calls, never copying the payload next to the header.
 
 * Datagram mode: fixed binary frames ("EBP1" magic, big-endian integers)
   carrying an op id, up to 16 dependency tags, a verb code and a body that is
@@ -40,9 +41,9 @@ Two transports share one request vocabulary:
 
   Duplicate suppression, deferral and retransmission live in ``ebp.simnet``.
 
-``VERB_TABLE`` is the one place a verb is declared: its request dataclass,
-datagram code and the header kind of each field. Encoding, decoding and the
-verb codes all read it.
+``VERB_TABLE`` is the one place a verb is declared, in both directions: its
+request dataclass, datagram code, and the kinds of its request fields and
+OK reply values. Every request and reply encoder and parser reads it.
 
 There is deliberately no flow control at this layer; encoders never consult
 receiver state.
@@ -57,8 +58,9 @@ import time
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, Union
 
-from .capability import Capability, Hardness, parse_capability, parse_hardness
+from .capability import Capability, Hardness, parse_capability
 from .errors import ConnectionLost, MalformedFrame
+from .nfu import OutputsState, TransformStatus
 
 MAX_HEADER_BYTES = 4096  # header line including the terminating LF
 MAX_U64 = 2**64 - 1
@@ -166,7 +168,7 @@ def parse_uint(token: str, what: str = "token") -> int:
 
 
 class _Kind(NamedTuple):
-    """How one request field is written on the header line."""
+    """How one request field or reply value is written on a header line."""
 
     name: str
     encode: Callable  # field value -> header text
@@ -178,7 +180,24 @@ class _Kind(NamedTuple):
 # up at call time.
 CAP = _Kind("cap", Capability.text, lambda token, what: parse_capability(token))
 UINT = _Kind("uint", str, parse_uint)
-TIER = _Kind("tier", lambda tier: tier.value, lambda token, what: parse_hardness(token))
+
+
+def _choice(name: str, values: dict) -> _Kind:
+    """A kind whose token is one of ``values``' keys, standing for its value."""
+
+    def parse(token, what):
+        try:
+            return values[token]
+        except KeyError:
+            raise MalformedFrame(f"bad {what}: {token!r}") from None
+
+    return _Kind(name, {value: token for token, value in values.items()}.__getitem__, parse)
+
+
+TIER = _choice("tier", {tier.value: tier for tier in Hardness})
+FLAG = _choice("flag", {"0": False, "1": True})
+STATUS = _choice("status", {status.value: status for status in TransformStatus})
+OUTPUTS = _choice("outputs", {state.value: state for state in OutputsState})
 TOKEN = _Kind("token", _check_token, lambda token, what: token)
 CAPS = _Kind(
     "caps",
@@ -194,7 +213,8 @@ PARAMS = _Kind(
     lambda group: tuple(zip(group[::2], group[1::2])),
     2,
 )
-# The length of the raw payload that follows the header; last field only.
+# The length of the raw payload that follows the header: a request's last
+# field, or a reply's first value. Parsed, it is the length.
 PAYLOAD = _Kind("payload", lambda payload: str(len(payload)), parse_uint)
 
 
@@ -203,25 +223,44 @@ class VerbSpec(NamedTuple):
     code: int  # datagram verb code
     fields: tuple  # ((field name, _Kind), ...) in field order
     payload: bool  # the last field is the payload
+    reply: tuple  # the _Kind of each value of the OK reply, in order
+    ok: Callable  # reply values -> OkResponse
 
 
-def _verb(request: type, code: int, *kinds: _Kind) -> tuple:
-    names = (f.name for f in fields(request))
-    return request.verb, VerbSpec(request, code, tuple(zip(names, kinds)), kinds[-1:] == (PAYLOAD,))
+def _verb(request: type, code: int, kinds: tuple, reply: tuple) -> tuple:
+    named = tuple(zip((f.name for f in fields(request)), kinds))
+    return request.verb, VerbSpec(request, code, named, kinds[-1:] == (PAYLOAD,), reply, _ok(reply))
 
 
-# The one place a verb is declared: name -> VerbSpec.
+def _ok(kinds: tuple) -> Callable:
+    """values (a sequence) -> OkResponse for a reply of ``kinds``; a PAYLOAD
+    value is its payload. Its code is generated once per row, as a
+    dataclass's ``__init__`` is: on CPython 3.11 a loop over the kinds built
+    a PROBE reply at half the speed."""
+    tokens = "".join(f"encode[{i}](values[{i}]), " for i in range(len(kinds)))
+    payload = f", values[{kinds.index(PAYLOAD)}]" if PAYLOAD in kinds else ""
+    make = eval(f"lambda encode: lambda values: OkResponse(({tokens}){payload})")
+    return make(tuple(kind.encode for kind in kinds))
+
+
+# The one place a verb is declared: name -> VerbSpec, from its request kinds and reply kinds.
 VERB_TABLE = dict(
     (
-        _verb(AllocateRequest, 1, UINT, UINT, TIER),
-        _verb(StoreRequest, 2, CAP, UINT, PAYLOAD),
-        _verb(LoadRequest, 3, CAP, UINT, UINT),
-        _verb(TransferRequest, 4, CAP, UINT, CAP, UINT, UINT),
-        _verb(TransformRequest, 5, TOKEN, CAPS, CAPS, UINT, UINT, UINT, PARAMS),
-        _verb(ProbeRequest, 6, CAP),
-        _verb(RenewRequest, 7, CAP, UINT),
-        _verb(ReleaseRequest, 8, CAP),
-        _verb(StatsRequest, 9),
+        _verb(AllocateRequest, 1, (UINT, UINT, TIER), (CAP, CAP, CAP)),
+        _verb(StoreRequest, 2, (CAP, UINT, PAYLOAD), (UINT,)),
+        _verb(LoadRequest, 3, (CAP, UINT, UINT), (PAYLOAD, FLAG)),
+        _verb(TransferRequest, 4, (CAP, UINT, CAP, UINT, UINT), (UINT,)),
+        _verb(
+            TransformRequest,
+            5,
+            (TOKEN, CAPS, CAPS, UINT, UINT, UINT, PARAMS),
+            (STATUS, UINT, UINT, OUTPUTS),
+        ),
+        _verb(ProbeRequest, 6, (CAP,), (UINT, UINT, UINT, TIER)),
+        _verb(RenewRequest, 7, (CAP, UINT), (UINT,)),
+        _verb(ReleaseRequest, 8, (CAP,), ()),
+        # Four totals, then the preemptions from each tier, best-effort first.
+        _verb(StatsRequest, 9, (), (UINT,) * 7),
     )
 )
 Request = Union[tuple(spec.request for spec in VERB_TABLE.values())]
@@ -356,6 +395,15 @@ def parse_response_header(line: bytes) -> tuple[str, tuple]:
     if len(parts) >= 2 and parts[0] == "ERR":
         return "ERR", (parts[1], " ".join(parts[2:]))
     raise MalformedFrame(f"bad response line {text[:80]!r}")
+
+
+def parse_ok(verb: str, tokens: tuple) -> list:
+    """The values of ``verb``'s OK reply ``tokens``, one per reply kind (a
+    PAYLOAD's is the payload's length), or MalformedFrame."""
+    kinds = VERB_TABLE[verb].reply
+    if len(tokens) != len(kinds):
+        raise MalformedFrame(f"{len(tokens)} tokens, expected {len(kinds)}")
+    return [kind.parse(token, kind.name) for kind, token in zip(kinds, tokens)]
 
 
 class Framer:

@@ -67,6 +67,7 @@ LIES = [
     ("stats", b"OK 1 2 3 4 5 6 7 8\n"),
     ("release", b"OK 0\n"),
     ("store", b"OK 0\n"),  # 3 bytes sent
+    ("transfer", b"OK 1 2\n"),
 ]
 
 CALLS = {
@@ -80,6 +81,7 @@ CALLS = {
     "stats": lambda cli, addr: cli.stats(),
     "release": lambda cli, addr: cli.release(cap(addr, Kind.MANAGE)),
     "store": lambda cli, addr: cli.store(cap(addr, Kind.WRITE), 0, b"abc"),
+    "transfer": lambda cli, addr: cli.transfer(cap(addr, Kind.READ), 0, cap(addr, Kind.WRITE), 0, 5),
 }
 
 

@@ -313,6 +313,21 @@ def test_repair_releases_the_poisoned_replica_it_drops(cluster):
     assert live_allocations(cluster) == [0, 0, 0]
 
 
+def test_repair_sends_no_release_for_a_replica_whose_allocation_is_gone(cluster):
+    x = upload(bytes(40_000), cluster.addrs(), chunk_size=10_000, k=2)
+    for extent in x.extents:
+        gone = extent.replicas[0]
+        with DepotClient(gone.depot_addr) as cli:
+            cli.release(gone.manage)
+    servers = [cluster.handle(name).server for name in ("d0", "d1", "d2")]
+    before = sum(server.verb_counts["RELEASE"] for server in servers)
+    repaired = repair(x, 2, cluster.addrs())
+    # Each dropped replica's LOAD answered NoSuchAllocation, so none of them
+    # is released again.
+    assert sum(server.verb_counts["RELEASE"] for server in servers) == before
+    assert live_allocations(cluster) == named_on(cluster.addrs(), repaired)
+
+
 def test_repair_makes_at_most_one_connection_attempt_to_a_dead_depot(cluster, connections):
     data = random.Random(7).randbytes(400_000)
     x = upload(data, cluster.addrs(), chunk_size=100_000, k=2)

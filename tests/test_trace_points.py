@@ -45,3 +45,30 @@ def test_the_guard_sees_a_missing_name(monkeypatch):
     monkeypatch.delattr(ebp.server.DepotServer, "handle_transfer")
     asked = wrapped_names(load_spans())
     assert [attr for owner, attr in asked if getattr(owner, attr, None) is None] == ["handle_transfer"]
+
+
+def test_batched_replies_are_read_through_the_wrapped_verbs():
+    """``client.wait.us`` is built from ``client.PROBE`` and ``client.RENEW``
+    spans, so a batch must read each reply through ``probe`` or ``renew``."""
+    from ebp.capability import Hardness
+    from ebp.client import DepotClient, ProbeInfo
+    from ebp.simnet import SimCluster
+
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with SimCluster(1) as cluster:
+        addr = cluster.addrs()[0]
+        with DepotClient(addr) as cli:
+            caps = [cli.allocate(8, 60, Hardness.SOFT).manage for _ in range(3)]
+        spans.install_client(tracer)
+        try:
+            with DepotClient(addr) as cli:
+                probed = cli.probe_many(caps)
+                renewed = cli.renew_many(caps, 60)
+        finally:
+            tracer.uninstall()
+    assert all(isinstance(info, ProbeInfo) for info in probed)
+    assert all(isinstance(ms, int) for ms in renewed)
+    names = [span.name for span in tracer.spans]
+    assert names.count("client.PROBE") == 3
+    assert names.count("client.RENEW") == 3

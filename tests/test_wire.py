@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import random
 import re
+import socket
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ebp.capability import Capability, Hardness, Kind
-from ebp.errors import MalformedFrame
+from ebp.capability import Capability, CapabilitySet, Hardness, Kind
+from ebp.client import DepotClient, ProbeInfo, StatsInfo
+from ebp.depot import AllocationInfo, DepotStats, LoadResult
+from ebp.errors import MalformedFrame, OutOfRange
+from ebp.nfu import OutputsState, ResourceBudget, TransformResult, TransformStatus
+from ebp.server import dispatch_request
 from ebp.wire import (
     AllocateRequest,
     ErrResponse,
@@ -37,7 +44,7 @@ from ebp.wire import (
 
 # Golden byte fixtures, one per verb, shared with the acceptance suite.
 # They are the protocol contract: if one changes, the wire format changed.
-from goldens import GOLDEN
+from goldens import GOLDEN, K1, K2, MANAGE1, READ1, WRITE1
 
 
 @pytest.mark.parametrize("req,frozen", GOLDEN, ids=lambda x: getattr(x, "verb", None) or "bytes")
@@ -64,8 +71,8 @@ def test_all_nine_verbs_covered_by_goldens():
 
 
 def test_verb_table_rows_reach_every_layer():
-    from ebp.client import DepotClient
     from ebp.server import _HANDLERS
+    from ebp.wire import PAYLOAD, _Kind
 
     golden_verbs = [req.verb for req, _ in GOLDEN]
     codes = [spec.code for spec in VERB_TABLE.values()]
@@ -76,6 +83,9 @@ def test_verb_table_rows_reach_every_layer():
         assert golden_verbs.count(verb) == 1
         assert verb in _HANDLERS
         assert callable(getattr(DepotClient, verb.lower(), None))
+        assert isinstance(spec.reply, tuple)
+        assert all(isinstance(kind, _Kind) and not kind.width for kind in spec.reply)
+        assert PAYLOAD not in spec.reply[1:]  # a reply's payload length comes first
 
 
 # -------------------------------------------------- randomized round-trips
@@ -195,6 +205,168 @@ def test_non_string_tokens_are_malformed_frames(value):
 def test_error_message_newlines_sanitized():
     encoded = encode_response(ErrResponse("BadCapability", "multi\nline\nmessage"))
     assert encoded.count(b"\n") == 1
+
+
+# ------------------------------------------------------------ reply goldens
+#
+# The reply half of the protocol contract: for fixed values, the depot's OK
+# line of every verb, LOAD's header with its payload, and one ERR line, each
+# met by the client with the same values.
+
+
+class FixedDepot:
+    """A depot and engine whose every call answers with the same values."""
+
+    def now(self):
+        return 100.0
+
+    def allocate(self, capacity, duration, tier):
+        return CapabilitySet(READ1, WRITE1, MANAGE1)
+
+    def store(self, cap, offset, payload):
+        return len(payload)
+
+    def load(self, cap, offset, length):
+        if offset + length > 16:
+            raise OutOfRange(f"load [{offset}, {offset + length}) exceeds used 16")
+        return LoadResult(b"abcdefghijklmnop"[offset : offset + length], True)
+
+    def renew(self, cap, extension):
+        return 160.5  # 60.5 s from now()
+
+    def release(self, cap):
+        pass
+
+    def probe(self, cap):
+        return AllocationInfo(1024, 3, 130.0, Hardness.HARD)
+
+    def stats(self):
+        pre = {Hardness.HARD: 0, Hardness.SOFT: 1, Hardness.BEST_EFFORT: 5}
+        return DepotStats(4096, 512, 3, 2, pre)
+
+    def execute(self, spec):
+        return TransformResult(TransformStatus.OK, 16, 2, OutputsState.DEFINED)
+
+
+FIXED_DEPOT = FixedDepot()
+FIXED = SimpleNamespace(depot=FIXED_DEPOT, engine=FIXED_DEPOT, handle_transfer=lambda req: 300)
+CAPS_TEXT = (
+    f"ebp://10.0.0.1:5000/7/{K1}/read ebp://10.0.0.1:5000/7/{K2}/write"
+    f" ebp://10.0.0.1:5000/7/{K1}/manage"
+)
+REQUESTS = {req.verb: req for req, _ in GOLDEN}
+# verb -> (the depot's reply to the verb's GOLDEN request, what the client returns)
+REPLY_GOLDEN = {
+    "ALLOCATE": (b"OK " + CAPS_TEXT.encode() + b"\n", CapabilitySet(READ1, WRITE1, MANAGE1)),
+    "STORE": (b"OK 3\n", 3),
+    "LOAD": (b"OK 16 1\nabcdefghijklmnop", LoadResult(bytearray(b"abcdefghijklmnop"), True)),
+    "TRANSFER": (b"OK 300\n", 300),
+    "TRANSFORM": (
+        b"OK ok 16 2 defined\n",
+        TransformResult(TransformStatus.OK, 16, 2, OutputsState.DEFINED),
+    ),
+    "PROBE": (b"OK 1024 3 30000 hard\n", ProbeInfo(1024, 3, 30000, Hardness.HARD)),
+    "RENEW": (b"OK 60500\n", 60500),
+    "RELEASE": (b"OK\n", None),
+    "STATS": (b"OK 4096 512 3 2 5 1 0\n", StatsInfo(4096, 512, 3, 2, (5, 1, 0))),
+}
+ERR_REQUEST = LoadRequest(READ1, 8, 16)
+ERR_GOLDEN = b"ERR OutOfRange load [8, 24) exceeds used 16\n"
+
+CLIENT_CALLS = {
+    "ALLOCATE": lambda cli, req: cli.allocate(req.capacity, req.duration, req.tier),
+    "STORE": lambda cli, req: cli.store(req.cap, req.offset, req.payload),
+    "LOAD": lambda cli, req: cli.load(req.cap, req.offset, req.length),
+    "TRANSFER": lambda cli, req: cli.transfer(
+        req.src, req.src_offset, req.dst, req.dst_offset, req.length
+    ),
+    "TRANSFORM": lambda cli, req: cli.transform(
+        req.op_name,
+        req.inputs,
+        req.outputs,
+        ResourceBudget(req.max_wall_ms, req.max_scratch_bytes, req.max_io_bytes),
+        dict(req.params),
+    ),
+    "PROBE": lambda cli, req: cli.probe(req.cap),
+    "RENEW": lambda cli, req: cli.renew(req.cap, req.extension),
+    "RELEASE": lambda cli, req: cli.release(req.cap),
+    "STATS": lambda cli, req: cli.stats(),
+}
+
+
+@contextmanager
+def client_answered_with(reply: bytes):
+    """A DepotClient whose depot has already sent ``reply``."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with DepotClient(f"127.0.0.1:{listener.getsockname()[1]}", 2000) as cli:
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(reply)
+                yield cli
+
+
+def test_reply_goldens_cover_every_verb():
+    assert set(REPLY_GOLDEN) == set(REQUESTS) == set(CLIENT_CALLS)
+
+
+@pytest.mark.parametrize("verb", sorted(REPLY_GOLDEN))
+def test_depot_reply_golden_bytes(verb):
+    assert encode_response(dispatch_request(REQUESTS[verb], FIXED)) == REPLY_GOLDEN[verb][0]
+
+
+def test_depot_err_reply_golden_bytes():
+    assert encode_response(dispatch_request(ERR_REQUEST, FIXED)) == ERR_GOLDEN
+
+
+@pytest.mark.parametrize("verb", sorted(REPLY_GOLDEN))
+def test_client_reads_the_reply_golden(verb):
+    reply, expected = REPLY_GOLDEN[verb]
+    with client_answered_with(reply) as cli:
+        assert CLIENT_CALLS[verb](cli, REQUESTS[verb]) == expected
+        assert cli.in_sync
+
+
+def test_client_reads_the_err_golden():
+    with client_answered_with(ERR_GOLDEN) as cli:
+        with pytest.raises(OutOfRange, match=r"^load \[8, 24\) exceeds used 16$"):
+            cli.load(ERR_REQUEST.cap, ERR_REQUEST.offset, ERR_REQUEST.length)
+        assert cli.in_sync
+
+
+def test_every_verb_reply_parses_through_the_table_and_encodes_back():
+    """One valid request per verb, dispatched by an unstarted depot: each
+    OK reply's tokens read through the verb's row and encode back to the
+    same tokens and payload."""
+    from ebp.depot import DepotConfig
+    from ebp.server import DepotServer
+    from ebp.wire import PAYLOAD, parse_ok
+
+    server = DepotServer(DepotConfig(total_capacity=1 << 20))
+    server.depot.addr = "127.0.0.1:9"
+    src, dst = (server.depot.allocate(64, 600, Hardness.SOFT) for _ in range(2))
+    fill = (("value", "7"), ("length", "4"))
+    requests = [
+        AllocateRequest(32, 600, Hardness.HARD),
+        StoreRequest(src.write, 0, b"abcdefgh"),
+        LoadRequest(src.read, 2, 4),
+        TransferRequest(src.read, 0, dst.write, 0, 8),
+        TransformRequest("fill", (), (dst.write,), 1000, 1 << 16, 1 << 16, fill),
+        ProbeRequest(src.manage),
+        RenewRequest(src.manage, 60),
+        StatsRequest(),
+        ReleaseRequest(dst.manage),
+    ]
+    assert {req.verb for req in requests} == set(VERB_TABLE)
+    for req in requests:
+        resp = server.dispatch(req)
+        assert isinstance(resp, OkResponse), resp
+        spec = VERB_TABLE[req.verb]
+        values = parse_ok(req.verb, resp.tokens)
+        # A PAYLOAD value reads back as its length and encodes from the bytes.
+        values = [resp.payload if kind is PAYLOAD else v for kind, v in zip(spec.reply, values)]
+        again = spec.ok(values)
+        assert (again.tokens, again.payload) == (resp.tokens, resp.payload)
+    assert server.verb_counts == dict.fromkeys(VERB_TABLE, 1)
 
 
 # ------------------------------------------------------------ frame codec
