@@ -26,7 +26,7 @@ from .capability import parse_capability
 from .client import DepotClient, session
 from .depot import DepotConfig
 from .errors import EbpError
-from .exnode import read_exnode, validate, write_exnode
+from .exnode import FILE_SUFFIX, read_exnode, validate, write_exnode
 from .lodn import LodnScheduler
 from .nfu import ResourceBudget
 from .server import DepotServer
@@ -119,7 +119,7 @@ def put_cmd(file, depots, k, chunk, lease, output, as_json):
     """Upload FILE into the mesh and write its exNode document."""
     addrs = _depot_list(depots)
     exnode = lors.upload(file, addrs, chunk_size=parse_size(chunk), k=k, lease_s=lease)
-    out_path = output or file + ".xnd.json"
+    out_path = output or file + FILE_SUFFIX
     write_exnode(out_path, exnode)
     if as_json:
         click.echo(json.dumps({"exnode": out_path, "bytes": exnode.total_length,

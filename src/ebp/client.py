@@ -2,36 +2,38 @@
 
 A session is one TCP connection. A lone request is written and its reply
 read before the next request goes out; callers needing parallelism open more
-sessions. Payloads larger than one frame are split into sequential 1 MiB
-pieces, and move in place: a STORE piece is a view of the caller's data, sent
-after its header by gathered writes, and a LOAD piece is received straight
-into the caller's buffer, or into the one ``bytearray`` the load returns.
-There are no hidden retries: a timeout on a side-effecting verb surfaces as
-``Timeout`` and it is the caller's decision what to do next (retry safety
-exists only in datagram mode, where the receiver deduplicates).
+sessions. Payloads larger than one frame are split into sequential
+``wire.PIECE`` pieces, and move in place: a STORE piece is a view of the
+caller's data, sent after its header by gathered writes, and a LOAD piece is
+received straight into the caller's buffer, or into the one ``bytearray`` the
+load returns. There are no hidden retries: a timeout on a side-effecting verb
+surfaces as ``Timeout`` and it is the caller's decision what to do next
+(retry safety exists only in datagram mode, where the receiver deduplicates).
+
+One rule keeps replies with their requests: an open session is in step with
+its depot. A request that ends with anything but an OK reply read whole or a
+depot ``ERR`` line whose code leaves the stream in step closes its session:
+after ``Timeout``, ``ConnectionLost`` or ``MalformedFrame`` (a reply line that
+cannot be read, a reply of the wrong shape, or such an ``ERR`` line), and
+after any exception raised mid-request.
 
 ``probe_many`` and ``renew_many`` send a batch: up to ``MAX_IN_FLIGHT``
 requests in one write, then their replies read in order, each through the
 same reply path as a lone request. They return one result per request, its
-value or the ``EbpError`` of its ``ERR`` line. A batch whose replies all
-arrived, ``ERR`` lines included, leaves the session in sync. One that hits
-``Timeout`` or ``ConnectionLost`` closes the session, and each request whose
-reply was not read gets such an error as its result; the answered ones keep
-theirs. A malformed reply raises ``MalformedFrame`` and closes the session,
-as it does for a lone request.
+value or the ``EbpError`` of its ``ERR`` line. A batch that hits ``Timeout``
+or ``ConnectionLost`` closes the session, and each request whose reply was
+not read gets such an error as its result; the answered ones keep theirs. A
+malformed reply raises ``MalformedFrame`` and closes the session.
 
 ``session(addr, timeout_ms)`` lends an exclusive session from a small
 per-address pool; ``lors``, ``lodn`` and the depot's TRANSFER push use it so
 that a run of short requests shares one connection. A session goes back to
-the pool only when its last request ended with ``OK`` or with a depot
-``ERR`` line, so the stream is known to be in sync. One that hit
-``Timeout``, ``ConnectionLost`` or ``MalformedFrame``, or was interrupted
-mid-request, is closed. An idle session that has become readable (the depot
-closed it) is closed instead of lent, without a byte sent. Idle sessions are
-bounded per address and in total, and closed once idle for
-``IDLE_MAX_AGE_S``. The pool never resends a request: a session the depot
-drops while it is lent fails its request with ``ConnectionLost``, exactly as
-a fresh one would.
+the pool only while it is open, so in step. An idle session that has become
+readable (the depot closed it) is closed instead of lent, without a byte
+sent. Idle sessions are bounded per address and in total, and closed once
+idle for ``IDLE_MAX_AGE_S``. The pool never resends a request: a session the
+depot drops while it is lent fails its request with ``ConnectionLost``,
+exactly as a fresh one would.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ from .wire import (
     encode_request,
     parse_ok,
     parse_response_header,
+    pieces,
     send_parts,
 )
 
-PIECE_SIZE = 1024 * 1024
 DEFAULT_TIMEOUT_MS = 5000
 IDLE_PER_ADDR = 4
 IDLE_TOTAL = 32
@@ -109,7 +111,6 @@ class DepotClient:
             raise ConnectionLost(f"cannot connect to {addr}: {exc}") from exc
         self._sock.settimeout(timeout_ms / 1000)
         self._framer = Framer(self._sock)
-        self.in_sync = True  # False from a request's start until its clean end
         self._unread: deque = deque()  # written by a batch, reply not yet read
 
     # ----------------------------------------------------------------- verbs
@@ -119,22 +120,18 @@ class DepotClient:
         return CapabilitySet(*self._request(AllocateRequest, args))
 
     def store(self, cap: Capability, offset: int, data: bytes) -> int:
-        """Write ``data`` (any bytes-like object) at ``offset``, split into
-        sequential 1 MiB frames sent from views of it."""
+        """Write ``data`` (any bytes-like object) at ``offset``, in sequential
+        ``wire.PIECE`` frames sent from views of it."""
         view = memoryview(data).cast("B")
-        written = 0
-        while True:
-            piece = view[written : written + PIECE_SIZE]
-            args = (cap, offset + written, piece)
-            written += self._request(StoreRequest, args, len(piece))[0]
-            if written >= len(view):
-                return written
+        for done, n in pieces(len(view)):
+            self._request(StoreRequest, (cap, offset + done, view[done : done + n]), n)
+        return len(view)
 
     def load(self, cap: Capability, offset: int, length: int, into=None) -> LoadResult:
-        """Read ``length`` bytes from ``offset`` in 1 MiB pieces, each
-        received straight into one buffer, which is the result's ``data``:
-        ``into``, a writable buffer of ``length`` bytes, or else a new
-        ``bytearray``. After an error the buffer's contents are undefined.
+        """Read ``length`` bytes from ``offset`` in ``wire.PIECE`` pieces,
+        each received straight into one buffer, which is the result's
+        ``data``: ``into``, a writable buffer of ``length`` bytes, or else a
+        new ``bytearray``. After an error the buffer's contents are undefined.
         Every view this makes of the buffer is released on every exit.
         """
         if into is None:
@@ -143,15 +140,11 @@ class DepotClient:
         with memoryview(into).cast("B") as view:
             if len(view) != length:
                 raise ValueError(f"buffer of {len(view)} bytes for a load of {length}")
-            fetched = 0
-            while True:
-                n = min(PIECE_SIZE, length - fetched)
-                with view[fetched : fetched + n] as piece:
-                    _, flag = self._request(LoadRequest, (cap, offset + fetched, n), n, piece)
+            for done, n in pieces(length):
+                with view[done : done + n] as piece:
+                    _, flag = self._request(LoadRequest, (cap, offset + done, n), n, piece)
                 unknown = unknown or flag
-                fetched += n
-                if fetched >= length:
-                    return LoadResult(into, unknown)
+        return LoadResult(into, unknown)
 
     def probe(self, cap: Capability) -> ProbeInfo:
         return ProbeInfo(*self._request(ProbeRequest, (cap,)))
@@ -206,10 +199,11 @@ class DepotClient:
         already, and return its OK reply's values, read as the verb's
         ``VERB_TABLE`` row says. With ``count``, the first value, a STORE's
         or a LOAD's byte count, must equal it, and is checked before ``into``
-        receives the reply's payload. A reply of the wrong shape raises
-        MalformedFrame and closes the session: the stream can no longer be
-        trusted."""
-        self.in_sync = False
+        receives the reply's payload. The session is closed unless the
+        request ends with an OK reply read whole or a depot ERR line whose
+        code leaves the stream in step: after anything else, a reply of the
+        wrong shape (MalformedFrame) included, it can no longer be trusted."""
+        clean = False
         try:
             if self._unread:
                 req = self._unread.popleft()  # a batch wrote it; only its reply is left
@@ -222,22 +216,24 @@ class DepotClient:
             kind, tokens = parse_response_header(self._framer.readline())
             if kind == "ERR":
                 code, message = tokens
-                self.in_sync = code not in _DESYNC_CODES and not self._unread
+                clean = code not in _DESYNC_CODES
                 raise error_for_code(code, message)
             try:
                 values = parse_ok(req.verb, tokens)
                 if count is not None and values[0] != count:
                     raise MalformedFrame(f"{values[0]} bytes where {count} were asked for")
             except MalformedFrame as exc:
-                self.close()
                 raise MalformedFrame(f"{req.verb} reply from {self.addr}: {exc}") from None
             if into is not None:
                 self._framer.read_into(into)
+            clean = True
         except socket.timeout as exc:
             raise Timeout(f"{make.verb} against {self.addr} timed out") from exc
         except OSError as exc:
             raise ConnectionLost(f"{make.verb} against {self.addr}: {exc}") from exc
-        self.in_sync = not self._unread
+        finally:
+            if not clean:
+                self.close()
         return values
 
     def _batch(self, reqs: list, answer) -> list:
@@ -247,40 +243,43 @@ class DepotClient:
         its reply. An ERR line becomes that request's result. After a
         Timeout or ConnectionLost the session is closed and the requests left
         unread get an error of the same kind without waiting; a malformed
-        reply raises."""
+        reply raises. A batch that ends with replies unread closes the
+        session."""
         results = []
         broken: Optional[EbpError] = None
-        for start in range(0, len(reqs), MAX_IN_FLIGHT):
-            window = reqs[start : start + MAX_IN_FLIGHT]
-            if broken is None:
-                self.in_sync = False
-                try:
-                    self._sock.sendall(b"".join(map(encode_request, window)))
-                    self._unread.extend(window)
-                except socket.timeout:
-                    broken = Timeout(f"{window[0].verb} batch against {self.addr} timed out")
-                except OSError as exc:
-                    broken = ConnectionLost(f"{window[0].verb} batch against {self.addr}: {exc}")
-            for req in window:
-                if broken is not None:  # a Timeout or a ConnectionLost
-                    results.append(type(broken)(f"{req.verb} against {self.addr}: no reply"))
-                    continue
-                try:
-                    results.append(answer(req.cap))
-                except MalformedFrame:
-                    self.close()
-                    raise
-                except EbpError as exc:
-                    results.append(exc)
-                    if exc.code in _DESYNC_CODES:
-                        broken = exc
-        if broken is not None:
-            self.close()
+        try:
+            for start in range(0, len(reqs), MAX_IN_FLIGHT):
+                window = reqs[start : start + MAX_IN_FLIGHT]
+                if broken is None:
+                    try:
+                        self._sock.sendall(b"".join(map(encode_request, window)))
+                        self._unread.extend(window)
+                    except socket.timeout:
+                        broken = Timeout(f"{window[0].verb} batch against {self.addr} timed out")
+                    except OSError as exc:
+                        broken = ConnectionLost(f"{window[0].verb} batch against {self.addr}: {exc}")
+                for req in window:
+                    if broken is not None:  # a Timeout or a ConnectionLost
+                        results.append(type(broken)(f"{req.verb} against {self.addr}: no reply"))
+                        continue
+                    try:
+                        results.append(answer(req.cap))
+                    except MalformedFrame:
+                        raise
+                    except EbpError as exc:
+                        results.append(exc)
+                        if exc.code in _DESYNC_CODES:
+                            broken = exc
+        finally:
+            # A window not written whole, or replies left unread by an
+            # interrupt between two of them, puts the stream out of step.
+            if broken is not None or self._unread:
+                self.close()
         return results
 
     def _idle_closed(self) -> bool:
         """True when an idle session has something to read: the depot closed it."""
-        if self._framer.buf or self._sock.fileno() < 0:
+        if self._framer.buf or self.closed:
             return True
         poller = select.poll()
         poller.register(self._sock, select.POLLIN)
@@ -288,8 +287,11 @@ class DepotClient:
 
     # --------------------------------------------------------------- plumbing
 
+    @property
+    def closed(self) -> bool:
+        return self._sock.fileno() < 0
+
     def close(self) -> None:
-        self.in_sync = False
         self._unread.clear()
         try:
             self._sock.close()
@@ -388,8 +390,8 @@ _pool = _SessionPool()
 def session(addr: str, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> Iterator[DepotClient]:
     """An exclusive session to ``addr``: an idle pooled one, else a new one.
 
-    On exit the session returns to the pool if its last request left the
-    stream in sync, and is closed otherwise.
+    On exit the session returns to the pool if it is still open, which
+    means in step: ``_request`` closes a session it cannot leave in step.
     """
     cli = _pool.take(addr)
     if cli is None:
@@ -399,10 +401,8 @@ def session(addr: str, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> Iterator[DepotCl
     try:
         yield cli
     finally:
-        if cli.in_sync:
+        if not cli.closed:
             _pool.give(cli)
-        else:
-            cli.close()
 
 
 def drain_pool() -> None:

@@ -14,9 +14,10 @@ capabilities. Design points that matter for correctness:
 
 * Physical bytes are committed lazily as stores extend an allocation's high
   watermark, never at admission time. Overbooked soft reservations therefore
-  collide only when actually used, which is when ``preempt_for`` runs: victims
-  are reclaimed strictly in tier order best-effort first, then soft, never
-  hard; within a tier earliest expiry wins, ties broken by smallest alloc_id.
+  collide only when actually used: a growth that finds too few free bytes
+  preempts others (``_commit_growth`` calls ``_preempt_locked``). Victims are
+  reclaimed strictly in tier order best-effort first, then soft, never hard;
+  within a tier earliest expiry wins, ties broken by smallest alloc_id.
 
 * Leases ride the server's monotonic clock. Expired allocations are reclaimed
   lazily by ``sweep_leases`` (periodic, plus opportunistically when admission

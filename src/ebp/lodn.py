@@ -34,14 +34,12 @@ from . import lors
 from .capability import Capability
 from .client import session
 from .errors import EbpError, NotManaged, ValidationFailed
-from .exnode import ExNode, read_exnode, validate, write_exnode
+from .exnode import FILE_SUFFIX, ExNode, read_exnode, validate, write_exnode
 
 logger = logging.getLogger("ebp.lodn")
 
 POLICY_SUFFIX = ".policy.json"
 _POLICY_FIELDS = {"replicas", "renew_before", "check_period", "preferred_depots"}
-
-DEFAULT_LEASE_DURATION_S = 3600
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ class LodnScheduler:
     def __init__(
         self,
         *,
-        lease_duration_s: float = DEFAULT_LEASE_DURATION_S,
+        lease_duration_s: float = lors.DEFAULT_LEASE_S,
         timeout_ms: int = 3000,
     ):
         # Renewals extend to lease_duration_s, which must exceed renew_before
@@ -242,8 +240,8 @@ class LodnScheduler:
 
 def policy_path_for(exnode_path: str) -> str:
     base = exnode_path
-    if base.endswith(".xnd.json"):
-        base = base[: -len(".xnd.json")]
+    if base.endswith(FILE_SUFFIX):
+        base = base[: -len(FILE_SUFFIX)]
     return base + POLICY_SUFFIX
 
 
@@ -260,7 +258,7 @@ def run_dir(
 
     sched = scheduler or LodnScheduler()
     stop = stop or threading.Event()
-    for exnode_path in sorted(glob.glob(os.path.join(directory, "*.xnd.json"))):
+    for exnode_path in sorted(glob.glob(os.path.join(directory, "*" + FILE_SUFFIX))):
         ppath = policy_path_for(exnode_path)
         if not os.path.exists(ppath):
             logger.warning("%s has no policy file; skipping", exnode_path)

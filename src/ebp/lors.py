@@ -46,7 +46,7 @@ from dataclasses import replace
 from typing import Iterator, Optional, Union
 
 from .capability import Hardness
-from .client import session
+from .client import DEFAULT_TIMEOUT_MS, session
 from .errors import EbpError, ExtentUnavailable, InsufficientDepots, NoSuchAllocation, ValidationFailed
 from .exnode import ExNode, Extent, Replica, make_exnode, validate
 
@@ -63,7 +63,7 @@ def upload(
     lease_s: int = DEFAULT_LEASE_S,
     hardness: Hardness = Hardness.SOFT,
     parallelism: int = DEFAULT_PARALLELISM,
-    timeout_ms: int = 5000,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
     metadata: Optional[dict] = None,
 ) -> ExNode:
     """Stripe ``source`` (a bytes-like object or a file path) across ``depots``.
@@ -118,7 +118,7 @@ def download(
     exnode: ExNode,
     *,
     parallelism: int = DEFAULT_PARALLELISM,
-    timeout_ms: int = 5000,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> bytearray:
     """Reassemble the full file into a new ``bytearray`` and return it:
     exact bytes or ExtentUnavailable. The returned buffer is the only
@@ -134,7 +134,7 @@ def download_to(
     target: Union[bytearray, memoryview, mmap.mmap, str, os.PathLike],
     *,
     parallelism: int = DEFAULT_PARALLELISM,
-    timeout_ms: int = 5000,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> None:
     """Receive the file into ``target``: a writable buffer of exactly
     ``total_length`` bytes, whose contents are undefined after an error, or a
@@ -237,7 +237,7 @@ def repair(
     *,
     lease_s: int = DEFAULT_LEASE_S,
     hardness: Hardness = Hardness.SOFT,
-    timeout_ms: int = 5000,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> ExNode:
     """Bring every extent back to >= k live replicas; returns a new exNode.
 
@@ -278,7 +278,7 @@ def repair(
     return replace(exnode, extents=tuple(extents))
 
 
-def release_all(exnode: ExNode, *, timeout_ms: int = 5000) -> int:
+def release_all(exnode: ExNode, *, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> int:
     """Best-effort release of every replica holding a manage capability."""
     pairs = [(r.depot_addr, r.manage) for e in exnode.extents for r in e.replicas if r.manage]
     return _Call(timeout_ms).release(pairs)
@@ -303,8 +303,8 @@ class _Call:
         """A pooled session to ``addr``, or, once ``addr`` proved unreachable,
         its error again without a connection attempt. Only this session's own
         Timeout or ConnectionLost marks ``addr``: one that could not open or
-        that a request left out of sync, not one passing through from a
-        session opened inside it, as repair's TRANSFER source is."""
+        that a request closed, not one passing through from a session opened
+        inside it, as repair's TRANSFER source is."""
         with self._lock:
             known = self._unreachable.get(addr)
         if known is not None:
@@ -314,7 +314,7 @@ class _Call:
             with session(addr, self.timeout_ms) as cli:
                 yield cli
         except EbpError as exc:
-            if exc.code in ("ConnectionLost", "Timeout") and (cli is None or not cli.in_sync):
+            if exc.code in ("ConnectionLost", "Timeout") and (cli is None or cli.closed):
                 with self._lock:
                     self._unreachable.setdefault(addr, exc)
             raise

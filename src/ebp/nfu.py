@@ -114,8 +114,7 @@ class OpContext:
         self.params = spec.params
         self._budget = spec.budget
         self._io_used = 0
-        self._scratch_now = 0
-        self._scratch_peak = 0
+        self._scratch = 0  # held until the op returns, so also the peak
         self._t0 = time.perf_counter()
         self.read_unknown = False  # some input read so far is unknown-state
 
@@ -138,13 +137,10 @@ class OpContext:
             raise _BudgetStop("wall budget")
 
     def charge_scratch(self, n: int) -> None:
-        self._scratch_now += n
-        self._scratch_peak = max(self._scratch_peak, self._scratch_now)
-        if self._scratch_peak > self._budget.max_scratch_bytes:
+        """Charge ``n`` more scratch bytes, held until the op returns."""
+        self._scratch += n
+        if self._scratch > self._budget.max_scratch_bytes:
             raise _BudgetStop("scratch budget")
-
-    def release_scratch(self, n: int) -> None:
-        self._scratch_now -= n
 
     # ---- data plane
 
@@ -325,7 +321,6 @@ def _op_xor(ctx: OpContext) -> None:
         b = ctx.read(1, off, n)
         out += (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
     ctx.emit(0, out)
-    ctx.release_scratch(a_size)
 
 
 def _op_copy_range(ctx: OpContext) -> None:
@@ -338,7 +333,6 @@ def _op_copy_range(ctx: OpContext) -> None:
     for off in range(src_offset, src_offset + length, _CHUNK):
         out += ctx.read(0, off, min(_CHUNK, src_offset + length - off))
     ctx.emit(0, out)
-    ctx.release_scratch(length)
 
 
 def _op_fill(ctx: OpContext) -> None:
@@ -349,7 +343,6 @@ def _op_fill(ctx: OpContext) -> None:
     ctx.charge_scratch(length)
     ctx.check_wall()
     ctx.emit(0, bytes([value]) * length)
-    ctx.release_scratch(length)
 
 
 _RUN = re.compile(rb"\x00+")
@@ -429,7 +422,6 @@ def _op_rle_compress(ctx: OpContext) -> None:
         ctx.charge_scratch(len(out) - charged)
         charged = len(out)
     ctx.emit(0, out)
-    ctx.release_scratch(charged)
 
 
 def _op_rle_decompress(ctx: OpContext) -> None:
@@ -459,7 +451,6 @@ def _op_rle_decompress(ctx: OpContext) -> None:
     if pending:
         ctx.fault("rle stream has odd length")
     ctx.emit(0, out)
-    ctx.release_scratch(charged)
 
 
 def builtin_registry() -> Registry:

@@ -6,9 +6,9 @@ thread, and serves the datagram plane (``simnet.DatagramDepot`` runs each
 request through ``DepotServer.dispatch``) and in-process callers.
 
 TRANSFER is source-initiated push, run by ``DepotServer.handle_transfer``: a
-LOAD of the source range, then a STORE of those bytes, one
-``TRANSFER_PIECE`` at a time and always at least one piece, so a zero-length
-TRANSFER checks both capabilities as a zero-length STORE does. A source on
+LOAD of the source range, then a STORE of those bytes, one ``wire.PIECE`` at
+a time and always at least one piece, so a zero-length TRANSFER checks both
+capabilities as a zero-length STORE does. A source on
 another depot is ``NotLocal``. A remote destination is stored into through a
 pooled client session to its depot, on every plane, and one that cannot be
 reached is ``RemoteUnreachable``. A local destination copied from an
@@ -73,12 +73,12 @@ from .wire import (
     TransferRequest,
     encode_response,
     parse_request_header,
+    pieces,
     send_parts,
 )
 
 logger = logging.getLogger("ebp.depot")
 
-TRANSFER_PIECE = 1024 * 1024
 SWEEP_PERIOD_S = 1.0
 
 
@@ -306,18 +306,14 @@ class DepotServer:
             raise NotLocal(f"transfer source {req.src.depot_addr} is not this depot")
         local = req.dst.depot_addr == depot.addr
         opened = nullcontext(depot) if local else session(req.dst.depot_addr, self._transfer_timeout_ms)
-        moved = 0
         try:
             with opened as sink:
-                while True:
-                    n = min(TRANSFER_PIECE, req.length - moved)
-                    data, unknown = depot.load(req.src, req.src_offset + moved, n)
-                    sink.store(req.dst, req.dst_offset + moved, data)
+                for done, n in pieces(req.length):
+                    data, unknown = depot.load(req.src, req.src_offset + done, n)
+                    sink.store(req.dst, req.dst_offset + done, data)
                     if unknown and local:  # a remote sink cannot carry the flag
                         depot.mark_unknown(req.dst)
-                    moved += n
-                    if moved >= req.length:
-                        return moved
+            return req.length
         except (ConnectionLost, Timeout) as exc:
             raise RemoteUnreachable(f"destination {req.dst.depot_addr}: {exc.message}") from exc
 

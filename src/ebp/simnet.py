@@ -355,12 +355,10 @@ class SimCluster:
         virtual_time: bool = False,
         total_capacity: int = DEFAULT_TOTAL_CAPACITY,
         per_depot_overrides: Optional[list] = None,
-        sweep_period_s: float = 1.0,
     ):
         self.loop = EventLoop()
         self.fabric = Fabric(self.loop, seed=seed)
         self.clock = VirtualClock() if virtual_time else None
-        self._sweep_period_s = sweep_period_s
         self.handles: dict = {}
         for i in range(n):
             overrides = {}
@@ -375,7 +373,6 @@ class SimCluster:
         server = DepotServer(
             config,
             clock=self.clock if self.clock is not None else time.monotonic,
-            sweep_period_s=self._sweep_period_s,
         )
         server.start()
         endpoint = DatagramDepot(name, server, self.fabric)

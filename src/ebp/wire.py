@@ -56,14 +56,22 @@ import socket
 import struct
 import time
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
-from .capability import Capability, Hardness, parse_capability
+from .capability import MAX_U64, Capability, Hardness, parse_capability
 from .errors import ConnectionLost, MalformedFrame
 from .nfu import OutputsState, TransformStatus
 
 MAX_HEADER_BYTES = 4096  # header line including the terminating LF
-MAX_U64 = 2**64 - 1
+PIECE = 1024 * 1024  # the most payload bytes one STORE or LOAD frame moves
+
+
+def pieces(length: int) -> Iterator[tuple[int, int]]:
+    """``(done, n)`` for each piece of a ``length``-byte move, in order: ``n``
+    bytes at ``done``, at most ``PIECE`` of them, and always at least one
+    piece, so a zero-length move still sends its request."""
+    for done in range(0, max(length, 1), PIECE):
+        yield done, min(PIECE, length - done)
 
 # ----------------------------------------------------------------- requests
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-import ebp.client as client_mod
+import ebp.wire
 from ebp.capability import Capability, Hardness, Kind
 from ebp.client import DepotClient
 from ebp.exnode import Extent, Replica, make_exnode
@@ -120,13 +120,13 @@ def test_store_sends_exactly_the_encoded_requests(kind):
         cap = write_cap(addr)
         with DepotClient(addr, 2000) as cli:
             assert cli.store(cap, 100, kind(data)) == len(data)
-    assert b"".join(received) == expected_stream(cap, 100, data, client_mod.PIECE_SIZE)
+    assert b"".join(received) == expected_stream(cap, 100, data, ebp.wire.PIECE)
     assert len(received) == 3
 
 
 @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
 def test_store_through_a_socket_that_takes_a_few_bytes_per_call(kind, monkeypatch):
-    monkeypatch.setattr(client_mod, "PIECE_SIZE", 1000)
+    monkeypatch.setattr(ebp.wire, "PIECE", 1000)
     data = random.Random(4).randbytes(2500)
     with fake_depot(store_ok) as (addr, received):
         cap = write_cap(addr)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import socket
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from types import SimpleNamespace
 
 import pytest
 
@@ -95,12 +96,42 @@ def test_reply_of_wrong_shape_is_malformed_and_closes_the_session(verb, reply):
         assert addr not in client_mod._pool.idle_counts()
 
 
-def test_direct_client_closes_on_a_lying_reply():
-    with lying_depot(b"OK 3 0\nabc") as addr:
+UNREADABLE = {
+    "load-short-payload": ("load", b"OK 3 0\nabc"),
+    "probe-neither-ok-nor-err": ("probe", b"FOO 1\n"),
+    "probe-header-too-long": ("probe", b"x" * 5000),  # no LF
+}
+
+
+@pytest.mark.parametrize("verb, reply", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_direct_client_closes_on_a_lying_reply(verb, reply):
+    with lying_depot(reply) as addr:
         cli = DepotClient(addr, 2000)
         with pytest.raises(MalformedFrame):
-            cli.load(cap(addr, Kind.READ), 0, 10)
+            CALLS[verb](cli, addr)
         assert cli._sock.fileno() == -1
+
+
+class Interrupted(BaseException):
+    """Stands in for an interrupt that arrives while a reply is awaited."""
+
+
+def interrupt_reads(cli: DepotClient) -> None:
+    def recv(_size):
+        raise Interrupted
+
+    cli._framer.sock = SimpleNamespace(recv=recv)
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["direct", "pooled"])
+def test_an_exception_mid_read_closes_the_session(pooled):
+    with lying_depot(b"") as addr:
+        opened = session(addr, 2000) if pooled else nullcontext(DepotClient(addr, 2000))
+        with pytest.raises(Interrupted), opened as cli:
+            interrupt_reads(cli)
+            cli.probe(cap(addr, Kind.MANAGE))
+        assert cli._sock.fileno() == -1
+        assert addr not in client_mod._pool.idle_counts()
 
 
 def test_download_fails_over_from_a_lying_replica():

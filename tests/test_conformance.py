@@ -16,7 +16,7 @@ import socket
 
 import pytest
 
-import ebp.server
+import ebp.wire
 from ebp.capability import Capability, CapabilitySet, Hardness, new_key, parse_capability
 from ebp.depot import DepotConfig
 from ebp.errors import EbpError, error_for_code
@@ -179,7 +179,7 @@ def refusal(call, *args) -> str:
 
 
 def test_transfer_copies_the_range_piece_by_piece(plane, monkeypatch):
-    monkeypatch.setattr(ebp.server, "TRANSFER_PIECE", 16)
+    monkeypatch.setattr(ebp.wire, "PIECE", 16)
     src, dst = source(plane), plane.allocate(plane.home, 128)
     assert outcome(plane, src.read, 10, dst.write, 5, 50) == "OK 50"
     assert plane.used(dst.manage) == 55

@@ -299,6 +299,31 @@ def test_malformed_reply_in_a_batch_raises_and_closes_the_session():
         fake.close()
 
 
+class Interrupted(BaseException):
+    """Stands in for an interrupt that arrives between two replies."""
+
+
+def test_batch_interrupted_between_replies_closes_the_session():
+    with SimCluster(1) as cluster:
+        addr = cluster.addrs()[0]
+        with session(addr) as cli:
+            caps = [cli.allocate(8, 60, Hardness.SOFT).manage for _ in range(3)]
+        answered = []
+
+        def probe_once(cap):
+            if answered:
+                raise Interrupted
+            answered.append(DepotClient.probe(cli, cap))
+
+        with pytest.raises(Interrupted):
+            with session(addr) as cli:
+                cli.probe = probe_once  # the batch reads each reply through it
+                cli.probe_many(caps)
+        assert len(answered) == 1  # two replies were never read
+        assert cli._sock.fileno() == -1
+        assert addr not in pool.idle_counts()
+
+
 # ------------------------------------------------------------------ bounds
 
 
