@@ -44,10 +44,10 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .capability import Capability, CapabilitySet, Hardness
-from .depot import LoadResult
+from .depot import DepotStats, LoadResult, ProbeInfo
 from .errors import ConnectionLost, EbpError, MalformedFrame, Timeout, error_for_code
 from .nfu import ResourceBudget, TransformResult
 from .wire import (
@@ -80,21 +80,6 @@ MAX_IN_FLIGHT = 64
 
 # Error codes after which the stream may be out of step with the depot.
 _DESYNC_CODES = frozenset(cls.code for cls in (Timeout, ConnectionLost, MalformedFrame))
-
-
-class ProbeInfo(NamedTuple):
-    capacity: int
-    used: int
-    expires_in_ms: int
-    hardness: Hardness
-
-
-class StatsInfo(NamedTuple):
-    sum_hard: int
-    sum_soft: int
-    bytes_in_use: int
-    live_allocations: int
-    preemptions: tuple  # (best_effort, soft, hard)
 
 
 class DepotClient:
@@ -188,9 +173,9 @@ class DepotClient:
         args = (op_name, tuple(inputs), tuple(outputs), *limits, texts)
         return TransformResult(*self._request(TransformRequest, args))
 
-    def stats(self) -> StatsInfo:
+    def stats(self) -> DepotStats:
         numbers = self._request(StatsRequest, ())
-        return StatsInfo(*numbers[:4], preemptions=tuple(numbers[4:]))
+        return DepotStats(*numbers[:4], preemptions=dict(zip(Hardness, numbers[4:])))
 
     # ------------------------------------------------------------- transport
 

@@ -21,7 +21,9 @@ capabilities. Design points that matter for correctness:
 
 * Leases ride the server's monotonic clock. Expired allocations are reclaimed
   lazily by ``sweep_leases`` (periodic, plus opportunistically when admission
-  fails); between expiry and sweep, operations fail ``Expired``.
+  fails); between expiry and sweep, operations fail ``Expired``. PROBE and
+  RENEW answer the milliseconds left, never an expiry on this clock, so the
+  depot returns in process what ``DepotClient`` returns over the wire.
 
 * A store that faults mid-write leaves the buffer in an unknown state: the
   allocation is poisoned and subsequent loads carry ``unknown_state=True``
@@ -147,7 +149,7 @@ class DepotStats(NamedTuple):
     sum_soft: int
     bytes_in_use: int
     live_allocations: int
-    preemptions: dict  # Hardness -> victims reclaimed from that tier
+    preemptions: dict  # Hardness -> victims reclaimed from that tier, in Hardness order
 
 
 class LoadResult(NamedTuple):
@@ -155,10 +157,10 @@ class LoadResult(NamedTuple):
     unknown_state: bool
 
 
-class AllocationInfo(NamedTuple):
+class ProbeInfo(NamedTuple):
     capacity: int
     used: int
-    expiry: float  # absolute, on the depot's clock
+    expires_in_ms: int
     hardness: Hardness
 
 
@@ -238,9 +240,6 @@ class Depot:
         self.store_fault_hook: Optional[Callable[[int, int], None]] = None
 
     # ------------------------------------------------------------------ admin
-
-    def now(self) -> float:
-        return self._clock()
 
     def stats(self) -> DepotStats:
         with self._lock:
@@ -325,10 +324,11 @@ class Depot:
             self._preemptions[Hardness.SOFT] += 1
             self._reclaim_locked(victim)
 
-    def probe(self, cap: Capability) -> AllocationInfo:
+    def probe(self, cap: Capability) -> ProbeInfo:
         with self._lock:
             alloc = self._authorize(cap, Kind.MANAGE)
-            return AllocationInfo(alloc.capacity, alloc.used, alloc.expiry, alloc.hardness)
+            left = _ms_left(alloc.expiry, self._clock())
+            return ProbeInfo(alloc.capacity, alloc.used, left, alloc.hardness)
 
     def authorize(self, cap: Capability, kind: Kind) -> None:
         """Raise unless ``cap`` is a ``kind`` capability for a live allocation
@@ -341,28 +341,22 @@ class Depot:
         with self._lock:
             return self._authorize(cap, Kind.READ).used
 
-    def renew(self, cap: Capability, extension: float) -> float:
-        """Extend a lease; the new expiry never drops below the old one."""
+    def renew(self, cap: Capability, extension: float) -> int:
+        """Extend a lease, never below its old expiry; returns the
+        milliseconds left."""
         if extension < 1:
             raise ValueError("extension must be >= 1")
         with self._lock:
             alloc = self._authorize(cap, Kind.MANAGE)
             now = self._clock()
             alloc.expiry = max(alloc.expiry, now + min(extension, self.config.max_duration))
-            return alloc.expiry
+            return _ms_left(alloc.expiry, now)
 
     def release(self, cap: Capability) -> None:
         with self._lock:
             alloc = self._lookup(cap)
             self._check_key(cap, alloc, Kind.MANAGE)
             self._reclaim_locked(alloc)
-
-    def is_unknown_state(self, cap: Capability) -> bool:
-        """Poison flag, readable with any valid capability for the allocation."""
-        with self._lock:
-            alloc = self._lookup(cap)
-            self._check_key(cap, alloc, cap.kind)
-            return alloc.poisoned
 
     def mark_unknown(self, cap: Capability) -> None:
         """Flag the allocation poisoned (write or manage capability required).
@@ -450,7 +444,7 @@ class Depot:
             total = self.config.total_capacity
             free = total - self._bytes_in_use
             if free < delta:
-                self._preempt_locked(delta - free, alloc.hardness, exclude=alloc.alloc_id)
+                self._preempt_locked(delta - free, alloc.hardness)
             if alloc.committed == 0 and alloc.capacity >= _RECYCLE_MIN:
                 alloc.buf = self._free.take(alloc.capacity)
                 self._held += len(alloc.buf)
@@ -543,31 +537,14 @@ class Depot:
             self._reclaim_locked(alloc)
         return len(expired)
 
-    def preempt_for(self, bytes_needed: int, requesting_tier: Hardness) -> list[int]:
-        """Free physical bytes for a higher-tier demand; returns victim ids.
-
-        Victims come only from tiers strictly below ``requesting_tier``,
-        best-effort before soft; hard allocations are never preempted here
-        (hard-vs-hard exhaustion surfaces as ResourceExhausted). If the
-        eligible victims cannot cover the shortfall, nobody is reclaimed.
-        """
-        if bytes_needed < 0:
-            raise ValueError("bytes_needed must be >= 0")
-        with self._lock:
-            free = self.config.total_capacity - self._bytes_in_use
-            if free >= bytes_needed:
-                return []
-            return self._preempt_locked(bytes_needed - free, requesting_tier)
-
-    def _preempt_locked(
-        self, shortfall: int, requesting_tier: Hardness, exclude: Optional[int] = None
-    ) -> list[int]:
+    def _preempt_locked(self, shortfall: int, requesting_tier: Hardness) -> None:
+        """Reclaim victims from tiers strictly below ``requesting_tier`` until
+        ``shortfall`` committed bytes are freed; if they cannot cover it,
+        nobody is reclaimed and the growth fails ``ResourceExhausted``."""
         candidates = [
             a
             for a in self._table.values()
-            if a.hardness.rank < requesting_tier.rank
-            and a.committed > 0
-            and a.alloc_id != exclude
+            if a.hardness.rank < requesting_tier.rank and a.committed > 0
         ]
         candidates.sort(key=lambda a: (a.hardness.rank, a.expiry, a.alloc_id))
         plan: list[_Allocation] = []
@@ -581,12 +558,9 @@ class Depot:
             raise ResourceExhausted(
                 f"need {shortfall} bytes; eligible victims hold only {freed}"
             )
-        reclaimed = []
         for victim in plan:
             self._preemptions[victim.hardness] += 1
             self._reclaim_locked(victim)
-            reclaimed.append(victim.alloc_id)
-        return reclaimed
 
     def _reclaim_locked(self, alloc: _Allocation) -> None:
         del self._table[alloc.alloc_id]
@@ -625,3 +599,7 @@ class Depot:
         if alloc.expiry < self._clock():
             raise Expired(f"allocation {cap.alloc_id} lease expired")
         return alloc
+
+
+def _ms_left(expiry: float, now: float) -> int:
+    return max(0, int((expiry - now) * 1000))

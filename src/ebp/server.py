@@ -49,6 +49,7 @@ from collections import defaultdict
 from contextlib import nullcontext, suppress
 from typing import Optional
 
+from .capability import Hardness
 from .client import session
 from .depot import Depot, DepotConfig
 from .errors import (
@@ -95,21 +96,12 @@ def dispatch_request(req: Request, server: "DepotServer") -> Response:
         return ErrResponse("MalformedFrame", "internal error")
 
 
-def _remaining_ms(depot: Depot, expiry: float) -> int:
-    return max(0, int((expiry - depot.now()) * 1000))
-
-
 # Per-verb handlers: (request, server) -> the values of the OK reply.
 
 
 def _release(req, server) -> tuple:
     server.depot.release(req.cap)
     return ()
-
-
-def _probe(req, server) -> tuple:
-    capacity, used, expiry, tier = server.depot.probe(req.cap)
-    return capacity, used, _remaining_ms(server.depot, expiry), tier
 
 
 def _transform(req, server) -> tuple:
@@ -123,19 +115,16 @@ def _transform(req, server) -> tuple:
 
 def _stats(req, server) -> tuple:
     stats = server.depot.stats()
-    by_rank = sorted(stats.preemptions.items(), key=lambda item: item[0].rank)
-    return (*stats[:4], *(count for _, count in by_rank))
+    return (*stats[:4], *(stats.preemptions[tier] for tier in Hardness))
 
 
 _HANDLERS = {
     "ALLOCATE": lambda req, server: tuple(server.depot.allocate(req.capacity, req.duration, req.tier)),
     "STORE": lambda req, server: (server.depot.store(req.cap, req.offset, req.payload),),
     "LOAD": lambda req, server: server.depot.load(req.cap, req.offset, req.length),
-    "RENEW": lambda req, server: (
-        _remaining_ms(server.depot, server.depot.renew(req.cap, req.extension)),
-    ),
+    "RENEW": lambda req, server: (server.depot.renew(req.cap, req.extension),),
     "RELEASE": _release,
-    "PROBE": _probe,
+    "PROBE": lambda req, server: server.depot.probe(req.cap),
     "TRANSFER": lambda req, server: (server.handle_transfer(req),),
     "TRANSFORM": _transform,
     "STATS": _stats,

@@ -325,9 +325,6 @@ class DatagramClient:
 
     # ---- bookkeeping views
 
-    def acked(self) -> list:
-        return [op_id for op_id, op in self.ops.items() if op.status == "acked"]
-
     def gave_up(self) -> list:
         return [op_id for op_id, op in self.ops.items() if op.status == "gave_up"]
 

@@ -351,6 +351,8 @@ def test_depot_serve_subprocess(tmp_path):
     finally:
         if proc.poll() is None:
             proc.kill()
+            proc.wait()
+        proc.stderr.close()
 
 
 def test_serve_without_config_is_usage_error(runner, monkeypatch):

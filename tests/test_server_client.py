@@ -82,7 +82,24 @@ def raw_exchange(addr: str, blob: bytes, read_extra: int = 0) -> bytes:
 
 def test_stats_on_fresh_depot_all_zero(client):
     stats = client.stats()
-    assert stats == (0, 0, 0, 0, (0, 0, 0))
+    assert stats == (0, 0, 0, 0, {tier: 0 for tier in Hardness})
+
+
+def test_a_depot_answers_alike_in_process_and_over_the_wire():
+    with SimCluster(1, virtual_time=True, total_capacity=64) as cluster:
+        depot = cluster.handle("d0").server.depot
+        with DepotClient(cluster.addrs()[0]) as cli:
+            victim = cli.allocate(32, 60, Hardness.BEST_EFFORT)
+            cli.store(victim.write, 0, b"v" * 32)
+            caps = cli.allocate(64, 60, Hardness.HARD)
+            cli.store(caps.write, 0, b"h" * 64)  # preempts the best-effort one
+            assert depot.probe(caps.manage) == cli.probe(caps.manage)
+            assert depot.renew(caps.manage, 90) == cli.renew(caps.manage, 90)
+            assert depot.load(caps.read, 8, 16) == cli.load(caps.read, 8, 16)
+            stats = depot.stats()
+            assert stats == cli.stats()
+            assert list(stats.preemptions) == list(Hardness)  # the wire's order
+            assert stats.preemptions[Hardness.BEST_EFFORT] == 1
 
 
 def test_allocate_store_load_roundtrip(client):

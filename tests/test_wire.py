@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ebp.capability import Capability, CapabilitySet, Hardness, Kind
-from ebp.client import DepotClient, ProbeInfo, StatsInfo
-from ebp.depot import AllocationInfo, DepotStats, LoadResult
+from ebp.client import DepotClient
+from ebp.depot import DepotStats, LoadResult, ProbeInfo
 from ebp.errors import MalformedFrame, OutOfRange
 from ebp.nfu import OutputsState, ResourceBudget, TransformResult, TransformStatus
 from ebp.server import dispatch_request
@@ -217,9 +217,6 @@ def test_error_message_newlines_sanitized():
 class FixedDepot:
     """A depot and engine whose every call answers with the same values."""
 
-    def now(self):
-        return 100.0
-
     def allocate(self, capacity, duration, tier):
         return CapabilitySet(READ1, WRITE1, MANAGE1)
 
@@ -232,13 +229,13 @@ class FixedDepot:
         return LoadResult(b"abcdefghijklmnop"[offset : offset + length], True)
 
     def renew(self, cap, extension):
-        return 160.5  # 60.5 s from now()
+        return 60500
 
     def release(self, cap):
         pass
 
     def probe(self, cap):
-        return AllocationInfo(1024, 3, 130.0, Hardness.HARD)
+        return ProbeInfo(1024, 3, 30000, Hardness.HARD)
 
     def stats(self):
         pre = {Hardness.HARD: 0, Hardness.SOFT: 1, Hardness.BEST_EFFORT: 5}
@@ -268,7 +265,10 @@ REPLY_GOLDEN = {
     "PROBE": (b"OK 1024 3 30000 hard\n", ProbeInfo(1024, 3, 30000, Hardness.HARD)),
     "RENEW": (b"OK 60500\n", 60500),
     "RELEASE": (b"OK\n", None),
-    "STATS": (b"OK 4096 512 3 2 5 1 0\n", StatsInfo(4096, 512, 3, 2, (5, 1, 0))),
+    "STATS": (
+        b"OK 4096 512 3 2 5 1 0\n",
+        DepotStats(4096, 512, 3, 2, {Hardness.BEST_EFFORT: 5, Hardness.SOFT: 1, Hardness.HARD: 0}),
+    ),
 }
 ERR_REQUEST = LoadRequest(READ1, 8, 16)
 ERR_GOLDEN = b"ERR OutOfRange load [8, 24) exceeds used 16\n"
