@@ -6,17 +6,32 @@ Each managed exNode carries a policy document stored beside it as
     {"replicas": 2, "renew_before": 5, "check_period": 1, "preferred_depots": [...]}
 
 A tick covers all managed exNodes in three steps. First a probe pass: the
-replicas of every exNode are grouped by depot, and each depot gets all of its
-PROBEs in one batch over one pooled session. Then a renew pass over the same
-session: one batch of RENEWs for the replicas whose lease expires within
-``renew_before`` seconds. A replica is live when its PROBE, and its RENEW if
-it was due, succeeded. Last, extents below the replica target are repaired
-through the file runtime. A depot that cannot be reached costs one connection
-attempt in the probe pass and at most one in each exNode's repair, and each
-of its replicas a failure line. Per-action failures are recorded in the tick
-report and never abort the loop. Ticks are idempotent in state: right after a
-tick there is nothing left to renew or repair, so a second tick at the same
-instant takes no actions.
+replicas of every exNode are grouped by depot, and each depot gets one batch,
+over one pooled session, of PROBEs for its replicas that are not due by
+memory (below). Then a renew pass over the same session: one batch of RENEWs
+for the replicas due by memory, which had no PROBE, and for those whose PROBE
+showed a lease expiring within ``renew_before`` seconds. A replica is live
+when its PROBE, and its RENEW if it was due, succeeded; a replica due by
+memory is live when its RENEW succeeded, since RENEW authorizes the same
+manage capability as PROBE and fails with the same codes. Last, extents below
+the replica target are repaired through the file runtime. A depot that cannot
+be reached costs one connection attempt in the probe pass and at most one in
+each exNode's repair, and each of its replicas a failure line. Per-action
+failures are recorded in the tick report and never abort the loop. Ticks are
+idempotent in state: right after a tick there is nothing left to renew or
+repair, so a second tick at the same instant takes no actions.
+
+Memory is the milliseconds left in each replica's last successful PROBE or
+RENEW reply, stamped with the local monotonic clock read after that batch's
+replies; it is rebuilt from each tick's replies, so it holds only the
+replicas that tick checked and found live. A replica is due by memory when
+its remembered milliseconds, less the local milliseconds from the stamp to
+the tick's start, are at or below ``renew_before``. The error goes one way:
+the stamp is read after the depot read its own clock, so memory can only
+overstate the time left. A replica due by memory is truly due, and one that
+memory wrongly calls not due is PROBEd. Only a lease renewed by someone else
+between two ticks gets a RENEW it did not need, which is harmless: RENEW
+never shortens a lease.
 
 Only a repair releases allocations: those of the replicas it drops. The
 exNode file is atomically rewritten only when repair changed its capabilities.
@@ -27,6 +42,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -83,6 +99,7 @@ class TickReport:
     renewals: int = 0
     repairs: int = 0
     failures: list = field(default_factory=list)
+    elapsed_ms: float = 0.0  # the tick's duration on the monotonic clock
 
     @property
     def actions(self) -> int:
@@ -95,6 +112,7 @@ class _Check(NamedTuple):
     key: tuple  # (exNode path, extent index, replica position)
     cap: Capability  # the manage capability
     renew_before_ms: float
+    due: bool  # due by memory: RENEWed with no PROBE first
 
 
 class LodnScheduler:
@@ -107,11 +125,14 @@ class LodnScheduler:
         timeout_ms: int = 3000,
     ):
         # Renewals extend to lease_duration_s, which must exceed renew_before
-        # or every tick would renew again. A tick reads each lease's time
-        # left from the depot's PROBE reply, never a clock of its own.
+        # or every tick would renew again. A lease's time left is a duration
+        # the depot reported less the local time elapsed since, never one
+        # node's clock compared with another's.
         self.lease_duration_s = lease_duration_s
         self.timeout_ms = timeout_ms
         self._entries: dict = {}
+        # manage capability -> (ms left in its last reply, monotonic s after it)
+        self._leases: dict = {}
         self._tick_lock = threading.Lock()
 
     # ------------------------------------------------------------ membership
@@ -148,14 +169,21 @@ class LodnScheduler:
     def tick(self) -> TickReport:
         """One maintenance pass over every managed exNode."""
         with self._tick_lock:  # ticks never overlap
+            start = time.monotonic()
             report = TickReport()
             entries = list(self._entries.values())
+            remembered, self._leases = self._leases, {}
             by_depot: dict = {}  # depot address -> [_Check] in exNode order
             for entry in entries:
                 before_ms = entry.policy.renew_before * 1000
                 for i, extent in enumerate(entry.exnode.extents):
                     for pos, replica in enumerate(extent.replicas):
-                        check = _Check((entry.path, i, pos), replica.manage, before_ms)
+                        cap = replica.manage
+                        lease = remembered.get(cap)
+                        due = lease is not None and (
+                            lease[0] - (start - lease[1]) * 1000 <= before_ms
+                        )
+                        check = _Check((entry.path, i, pos), cap, before_ms, due)
                         by_depot.setdefault(replica.depot_addr, []).append(check)
             failed: dict = {}  # (path, extent index, position) -> error code
             for addr, checks in by_depot.items():
@@ -165,28 +193,37 @@ class LodnScheduler:
                     self._settle_entry(entry, failed, report)
                 except EbpError as exc:
                     report.failures.append(f"{entry.path}: {exc.code}: {exc.message}")
+            report.elapsed_ms = (time.monotonic() - start) * 1000
             return report
 
     def _check_depot(self, addr: str, checks: list, failed: dict, report: TickReport) -> None:
         """The probe pass, then the renew pass, over one session to ``addr``;
-        records in ``failed`` the code of each replica that is not live."""
+        records in ``failed`` the code of each replica that is not live, and
+        remembers the time left of each that is."""
         pending = checks  # the checks the next pass settles
         try:
             with session(addr, self.timeout_ms) as cli:
-                # Liveness is PROBE success. ROADMAP item 2's replica_health
-                # check plugs in here, still over this one session per depot.
-                due = []
-                for check, info in zip(pending, cli.probe_many([c.cap for c in pending])):
+                # Liveness is PROBE or RENEW success. ROADMAP item 2's
+                # replica_health check plugs in here, over this one session.
+                due = [c for c in checks if c.due]
+                probed = [c for c in checks if not c.due]
+                infos = cli.probe_many([c.cap for c in probed])
+                read_at = time.monotonic()
+                for check, info in zip(probed, infos):
                     if isinstance(info, EbpError):
                         failed[check.key] = info.code
                     elif info.expires_in_ms <= check.renew_before_ms:
                         due.append(check)
+                    else:
+                        self._leases[check.cap] = (info.expires_in_ms, read_at)
                 pending = due
                 renewed = cli.renew_many([c.cap for c in due], int(self.lease_duration_s))
+                read_at = time.monotonic()
                 for check, result in zip(due, renewed):
                     if isinstance(result, EbpError):
                         failed[check.key] = result.code
                     else:
+                        self._leases[check.cap] = (result, read_at)
                         report.renewals += 1
         except EbpError as exc:  # no session, or a malformed reply
             for check in pending:
@@ -229,6 +266,10 @@ class LodnScheduler:
             if old.replicas != new.replicas
         )
         if changed:
+            dropped = {r.manage for e in entry.exnode.extents for r in e.replicas}
+            dropped -= {r.manage for e in repaired.extents for r in e.replicas}
+            for cap in dropped:  # memory holds only managed replicas
+                self._leases.pop(cap, None)
             write_exnode(entry.path, repaired)
             entry.exnode = repaired
             report.repairs += changed

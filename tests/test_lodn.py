@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +43,19 @@ def policy(cluster, k=2, renew_before=5, check_period=1) -> Policy:
         check_period=check_period,
         preferred_depots=tuple(cluster.addrs()),
     )
+
+
+def served(cluster, verb: str) -> int:
+    """The ``verb`` requests every depot of ``cluster`` has served so far."""
+    return sum(cluster.handle(name).server.verb_counts.get(verb, 0) for name in cluster.names())
+
+
+def managed_replicas(sched) -> list:
+    return [r for e in sched.entries() for x in e.exnode.extents for r in x.replicas]
+
+
+def managed_caps(sched) -> set:
+    return {r.manage for r in managed_replicas(sched)}
 
 
 # -------------------------------------------------------------- membership
@@ -168,6 +182,16 @@ def test_killed_depot_triggers_exact_repairs_and_atomic_rewrite(cluster, tmp_pat
     assert follow_up.repairs == 0
 
 
+def test_tick_reports_its_duration(cluster, tmp_path):
+    path, *_ = managed_file(cluster, tmp_path)
+    sched = new_scheduler()
+    sched.adopt(path, policy(cluster))
+    start = time.monotonic()
+    report = sched.tick()
+    wall_ms = (time.monotonic() - start) * 1000
+    assert 0 < report.elapsed_ms <= wall_ms
+
+
 def test_tick_records_failures_instead_of_raising(cluster, tmp_path):
     path, *_ = managed_file(cluster, tmp_path)
     sched = new_scheduler()
@@ -209,6 +233,91 @@ def test_managed_file_survives_many_lease_lifetimes(cluster, tmp_path):
         assert download(read_exnode(path)) == data
 
 
+# ------------------------------------------------------------ lease memory
+
+
+def test_a_lease_due_by_memory_gets_one_request(cluster, tmp_path):
+    """With ``renew_before`` above the renewal lease, every renewed lease is
+    due again at the next tick whatever the clocks say: the first tick PROBEs
+    and RENEWs each replica, the second only RENEWs it."""
+    path, x, _ = managed_file(cluster, tmp_path, lease_s=10)
+    sched = new_scheduler(lease_s=10)
+    sched.adopt(path, policy(cluster, renew_before=20))
+    n = sum(len(e.replicas) for e in x.extents)
+    for probes in (n, 0):
+        before = {verb: served(cluster, verb) for verb in ("PROBE", "RENEW")}
+        report = sched.tick()
+        assert (report.renewals, report.failures) == (n, [])
+        assert {verb: served(cluster, verb) - before[verb] for verb in before} == {
+            "PROBE": probes,
+            "RENEW": n,
+        }
+
+
+def test_a_replica_released_behind_the_schedulers_back_fails_as_a_probe_would(
+    cluster, tmp_path
+):
+    """The RENEW that memory sends in place of a PROBE fails NoSuchAllocation,
+    with the failure line and the repair of a PROBE-first tick."""
+    data = random.Random(13).randbytes(9000)
+    twins = (tmp_path / "oracle", tmp_path / "batched")
+    schedulers = (PerReplicaScheduler(lease_duration_s=10, timeout_ms=1000), new_scheduler())
+    for directory, sched in zip(twins, schedulers):
+        directory.mkdir()
+        path = str(directory / "file.xnd.json")
+        write_exnode(path, upload(data, cluster.addrs(), chunk_size=4096, k=2, lease_s=10))
+        sched.adopt(path, policy(cluster, renew_before=20))
+        assert sched.tick().failures == []
+        victim = sched.entries()[0].exnode.extents[1].replicas[0]
+        with DepotClient(victim.depot_addr) as cli:
+            cli.release(victim.manage)
+    probes = served(cluster, "PROBE")
+    got = schedulers[1].tick()
+    assert served(cluster, "PROBE") == probes  # RENEW only
+    expected = schedulers[0].tick()
+    assert got.failures == [line.replace(*map(str, twins)) for line in expected.failures]
+    assert len(got.failures) == 1 and got.failures[0].endswith(": NoSuchAllocation")
+    assert (got.renewals, got.repairs) == (expected.renewals, expected.repairs)
+    assert got.repairs == 1
+    assert download(read_exnode(schedulers[1].entries()[0].path)) == data
+
+
+def test_memory_holds_only_managed_replicas(cluster, tmp_path):
+    """After a drop and after a repair, memory names no replica the scheduler
+    no longer manages, and at most one entry per managed replica."""
+    sched = new_scheduler()
+    paths = []
+    for name in ("kept", "dropped"):
+        directory = tmp_path / name
+        directory.mkdir()
+        paths.append(managed_file(cluster, directory, k=3)[0])
+        sched.adopt(paths[-1], policy(cluster, k=3))
+    sched.tick()
+    gone = managed_caps(sched)
+    assert set(sched._leases) == gone
+    sched.drop(paths[1])
+    sched.tick()
+    gone -= managed_caps(sched)
+    assert gone and not gone & set(sched._leases)
+    assert set(sched._leases) <= managed_caps(sched)
+
+    # A poisoned replica PROBEs live, so this tick remembers it before the
+    # repair that its neighbour's release sets off drops it.
+    extent = sched.entries()[0].exnode.extents[0]
+    poisoned, released, _ = extent.replicas
+    cluster.handle(f"d{cluster.addrs().index(poisoned.depot_addr)}").server.depot.mark_unknown(
+        poisoned.manage
+    )
+    with DepotClient(released.depot_addr) as cli:
+        cli.release(released.manage)
+    report = sched.tick()
+    assert report.repairs == 1
+    replaced = {poisoned.manage, released.manage}
+    assert not replaced & managed_caps(sched)
+    assert not replaced & set(sched._leases)
+    assert set(sched._leases) <= managed_caps(sched)
+
+
 # ------------------------------------------------------------ batched tick
 
 
@@ -247,15 +356,21 @@ class PerReplicaScheduler(LodnScheduler):
 @settings(max_examples=25, deadline=None)
 @given(
     files=st.lists(
-        st.tuples(st.integers(0, 12), st.sampled_from([1, 2]), st.sampled_from([5, 15, 25])),
+        st.tuples(st.integers(0, 12), st.sampled_from([1, 2]), st.sampled_from([5, 15, 25, 40])),
         min_size=2,
         max_size=4,
     ),
     dead=st.one_of(st.none(), st.integers(0, 2)),
+    gaps=st.lists(st.integers(0, 12), min_size=2, max_size=2),
 )
-def test_batched_tick_matches_the_per_replica_oracle(tmp_path_factory, files, dead):
+def test_batched_tick_matches_the_per_replica_oracle(tmp_path_factory, files, dead, gaps):
     """Each file is uploaded twice at once, one copy for each scheduler, and
-    ages for its own number of seconds before the next file's upload."""
+    ages for its own number of seconds before the next file's upload. Then
+    both schedulers tick three times, ``gaps`` seconds apart. A
+    ``renew_before`` of 40, above the lease of 30, makes the batched
+    scheduler RENEW by memory with no PROBE from its second tick on. Under
+    virtual time the depots' clock jumps and the scheduler's does not, so a
+    lower ``renew_before`` keeps to the PROBE path."""
     base = tmp_path_factory.mktemp("tick")
     twins = (base / "oracle", base / "batched")
     for directory in twins:
@@ -274,7 +389,6 @@ def test_batched_tick_matches_the_per_replica_oracle(tmp_path_factory, files, de
         dead_addr = None if dead is None else cluster.handle(f"d{dead}").addr
         if dead is not None:
             cluster.kill(f"d{dead}")
-        expected = schedulers[0].tick()
 
         repairing = [False]
         real_repair = lors_mod.repair
@@ -294,15 +408,20 @@ def test_batched_tick_matches_the_per_replica_oracle(tmp_path_factory, files, de
                 attempts[0] += 1
             return real_connect(address, *args, **kwargs)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lors_mod, "repair", flagged_repair)
-            patch.setattr(client_mod.socket, "create_connection", counting_connect)
-            got = schedulers[1].tick()
-    assert got.renewals == expected.renewals
-    assert got.repairs == expected.repairs
-    oracle_dir, batched_dir = (str(directory) for directory in twins)
-    assert got.failures == [line.replace(oracle_dir, batched_dir) for line in expected.failures]
-    assert attempts[0] == (0 if dead is None else 1)
+        oracle_dir, batched_dir = (str(directory) for directory in twins)
+        for gap in (0, *gaps):
+            cluster.advance(gap)
+            expected = schedulers[0].tick()
+            on_dead = any(r.depot_addr == dead_addr for r in managed_replicas(schedulers[1]))
+            attempts[0] = 0
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lors_mod, "repair", flagged_repair)
+                patch.setattr(client_mod.socket, "create_connection", counting_connect)
+                got = schedulers[1].tick()
+            assert got.renewals == expected.renewals
+            assert got.repairs == expected.repairs
+            assert got.failures == [line.replace(oracle_dir, batched_dir) for line in expected.failures]
+            assert attempts[0] == int(on_dead)
 
 
 # ------------------------------------------------------------------ daemon
