@@ -121,14 +121,14 @@ class DepotConfig:
     listen_addr: str = "127.0.0.1:0"
 
     def __post_init__(self):
-        if self.total_capacity < 1:
-            raise ValueError("total_capacity must be >= 1")
-        if self.max_alloc_size < 1:
-            raise ValueError("max_alloc_size must be >= 1")
-        if self.max_duration < 1:
-            raise ValueError("max_duration must be >= 1")
-        if self.overbook_factor < 1:
-            raise ValueError("overbook_factor must be >= 1")
+        for name in ("total_capacity", "max_alloc_size", "max_duration", "overbook_factor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not isinstance(self.listen_addr, str):
+            raise ValueError("listen_addr must be a string")
 
     @classmethod
     def from_json_file(cls, path: str) -> "DepotConfig":

@@ -17,7 +17,6 @@ someone a read-only exNode is a first-class use.
 
 from __future__ import annotations
 
-import bisect
 import json
 import os
 import tempfile
@@ -106,20 +105,6 @@ def validate(exnode: ExNode) -> list:
     return problems
 
 
-def coverage_at(exnode: ExNode, offset: int) -> list:
-    """Replicas holding the byte at ``offset``; empty outside the file."""
-    if offset < 0 or offset >= exnode.total_length:
-        return []
-    starts = [e.offset for e in exnode.extents]
-    i = bisect.bisect_right(starts, offset) - 1
-    if i < 0:
-        return []
-    extent = exnode.extents[i]
-    if extent.offset <= offset < extent.offset + extent.length:
-        return list(extent.replicas)
-    return []
-
-
 # --------------------------------------------------------------------- JSON
 
 _REPLICA_KEYS = {"depot", "read", "write", "manage", "base"}
@@ -186,9 +171,7 @@ def from_json(document: str) -> ExNode:
             read = _cap(rdoc, "read", Kind.READ, where, required=True)
             write = _cap(rdoc, "write", Kind.WRITE, where)
             manage = _cap(rdoc, "manage", Kind.MANAGE, where)
-            base = rdoc.get("base", 0)
-            if not isinstance(base, int):
-                raise SchemaError(f"{where} base must be an integer")
+            base = _require(rdoc, "base", int, where) if "base" in rdoc else 0
             replicas.append(
                 Replica(
                     depot_addr=depot,

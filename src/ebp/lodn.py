@@ -66,6 +66,14 @@ class Policy:
     preferred_depots: tuple = ()
 
     def __post_init__(self):
+        for name, kind in (("replicas", int), ("renew_before", float), ("check_period", float)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}")
+        depots = self.preferred_depots
+        if not isinstance(depots, (list, tuple)) or not all(isinstance(d, str) for d in depots):
+            raise ValueError("preferred_depots must be a list of strings")
+        object.__setattr__(self, "preferred_depots", tuple(depots))
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.check_period < 1:
@@ -82,8 +90,6 @@ class Policy:
         unknown = set(doc) - _POLICY_FIELDS
         if unknown:
             raise ValueError(f"unknown policy fields: {sorted(unknown)}")
-        doc = dict(doc)
-        doc["preferred_depots"] = tuple(doc.get("preferred_depots", ()))
         return cls(**doc)
 
 

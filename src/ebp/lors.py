@@ -61,7 +61,6 @@ def upload(
     k: int,
     *,
     lease_s: int = DEFAULT_LEASE_S,
-    hardness: Hardness = Hardness.SOFT,
     parallelism: int = DEFAULT_PARALLELISM,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     metadata: Optional[dict] = None,
@@ -77,7 +76,7 @@ def upload(
         raise ValueError("chunk_size must be >= 1")
     if k < 1 or k > len(depots):
         raise ValueError(f"replication k={k} must be between 1 and {len(depots)}")
-    with _chunks_of(source) as (total, read), _Call(timeout_ms, lease_s, hardness) as call:
+    with _chunks_of(source) as (total, read), _Call(timeout_ms, lease_s) as call:
         if not total:
             return make_exnode(0, [], metadata)
 
@@ -236,7 +235,6 @@ def repair(
     depots: list,
     *,
     lease_s: int = DEFAULT_LEASE_S,
-    hardness: Hardness = Hardness.SOFT,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> ExNode:
     """Bring every extent back to >= k live replicas; returns a new exNode.
@@ -251,7 +249,7 @@ def repair(
     """
     _check(exnode)
     extents, dropped = [], []
-    with _Call(timeout_ms, lease_s, hardness) as call:
+    with _Call(timeout_ms, lease_s) as call:
         for extent in exnode.extents:
             # A replica is live when its extent's last byte loads clean.
             checked = [(r, _load_clean(call, r, extent.length - 1, 1)) for r in extent.replicas]
@@ -290,10 +288,8 @@ class _Call:
     depots it found unreachable. Used as a context manager, it releases every
     replica it placed when the call fails, since no exNode will name them."""
 
-    def __init__(
-        self, timeout_ms: int, lease_s: int = DEFAULT_LEASE_S, hardness: Hardness = Hardness.SOFT
-    ):
-        self.timeout_ms, self.lease_s, self.hardness = timeout_ms, lease_s, hardness
+    def __init__(self, timeout_ms: int, lease_s: int = DEFAULT_LEASE_S):
+        self.timeout_ms, self.lease_s = timeout_ms, lease_s
         self.placed: list = []  # (address, manage cap) of every filled replica
         self._unreachable: dict = {}  # address -> the error that showed it
         self._lock = threading.Lock()
@@ -357,8 +353,8 @@ class _Call:
 
 def _place(call: _Call, extent: Extent, candidates, k: int, fill) -> Extent:
     """``extent`` with new replicas added to those it holds, on ``candidates``
-    in order, until it has ``k``. Each new replica is an allocation on a depot
-    that holds none yet, filled by ``fill(cli, caps)`` over that depot's
+    in order, until it has ``k``. Each new replica is a soft allocation on a
+    depot that holds none yet, filled by ``fill(cli, caps)`` over that depot's
     session; one whose fill fails is released. Raises InsufficientDepots,
     naming the last error, when ``k`` is out of reach."""
     replicas = list(extent.replicas)
@@ -371,7 +367,7 @@ def _place(call: _Call, extent: Extent, candidates, k: int, fill) -> Extent:
         caps = None
         try:
             with call.session(addr) as cli:
-                caps = cli.allocate(extent.length, call.lease_s, call.hardness)
+                caps = cli.allocate(extent.length, call.lease_s, Hardness.SOFT)
                 fill(cli, caps)
         except EbpError as exc:
             last_error = exc

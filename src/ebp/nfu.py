@@ -46,17 +46,6 @@ from .errors import (
 
 _CHUNK = 64 * 1024
 
-BUILTIN_OPS = (
-    "checksum-crc32",
-    "checksum-sha256",
-    "xor",
-    "copy-range",
-    "fill",
-    "rle-compress",
-    "rle-decompress",
-)
-
-
 @dataclass(frozen=True)
 class ResourceBudget:
     max_wall_ms: int

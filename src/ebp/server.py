@@ -2,8 +2,9 @@
 engine. ``DepotServer`` is the one host ``dispatch_request`` serves, on every
 plane. Started, it listens on TCP, with one logical handler per session and
 a periodic lease sweeper. Never started, it binds no socket and runs no
-thread, and serves the datagram plane (``simnet.DatagramDepot`` runs each
-request through ``DepotServer.dispatch``) and in-process callers.
+thread, and serves the datagram plane and in-process callers.
+``dispatch_request`` counts each request it runs in ``verb_counts``, on every
+plane.
 
 TRANSFER is source-initiated push, run by ``DepotServer.handle_transfer``: a
 LOAD of the source range, then a STORE of those bytes, one ``wire.PIECE`` at
@@ -84,16 +85,22 @@ SWEEP_PERIOD_S = 1.0
 
 
 def dispatch_request(req: Request, server: "DepotServer") -> Response:
-    """Run one decoded request and encode its OK reply by its ``VERB_TABLE`` row."""
+    """Run one decoded request and encode its OK reply by its ``VERB_TABLE``
+    row; count it in ``server.verb_counts``, and log it at DEBUG."""
     try:
-        return VERB_TABLE[req.verb].ok(_HANDLERS[req.verb](req, server))
+        resp = VERB_TABLE[req.verb].ok(_HANDLERS[req.verb](req, server))
     except EbpError as exc:
-        return ErrResponse(exc.code, exc.message)
+        resp = ErrResponse(exc.code, exc.message)
     except ValueError as exc:
-        return ErrResponse("MalformedFrame", str(exc))
+        resp = ErrResponse("MalformedFrame", str(exc))
     except Exception:  # never crash the session on a handler bug
         logger.exception("internal error handling %s", req.verb)
-        return ErrResponse("MalformedFrame", "internal error")
+        resp = ErrResponse("MalformedFrame", "internal error")
+    server.verb_counts[req.verb] += 1
+    if logger.isEnabledFor(logging.DEBUG):
+        outcome = "OK" if isinstance(resp, OkResponse) else f"ERR:{resp.code}"
+        logger.debug("%s alloc=%s %s", req.verb, _alloc_id_of(req), outcome)
+    return resp
 
 
 # Per-verb handlers: (request, server) -> the values of the OK reply.
@@ -133,7 +140,8 @@ _HANDLERS = {
 
 class DepotServer:
     """One depot and its transform engine; ``start`` puts them behind a
-    listening socket, and ``dispatch`` serves a request on any plane."""
+    listening socket, and ``dispatch_request`` serves it a request on any
+    plane."""
 
     def __init__(
         self,
@@ -194,9 +202,8 @@ class DepotServer:
             _shut(conn)  # wakes a blocked read or send; the peer sees EOF now
 
     def serve_forever(self) -> None:
-        """Run until stop() is called from another thread or a signal handler."""
-        if self.addr is None:
-            self.start()
+        """Run, once started, until stop() is called from another thread or a
+        signal handler."""
         while not self._stop.is_set():
             time.sleep(0.2)
 
@@ -257,7 +264,7 @@ class DepotServer:
             _flush(conn, held, ErrResponse("MalformedFrame", "declared payload exceeds depot limit"))
             return False
         if not payload_len:
-            return _reply(conn, framer, held, self.dispatch(build(b"")))
+            return _reply(conn, framer, held, dispatch_request(build(b""), self))
         # The client may wait for the held replies before it sends the payload.
         if not _flush(conn, held):
             return False
@@ -265,7 +272,7 @@ class DepotServer:
         # holding its lock, so a sender that is too slow is cut off as if gone.
         payload = Payload(framer, payload_len, self._transfer_timeout_ms / 1000)
         req = build(payload)
-        resp = self.dispatch(req)
+        resp = dispatch_request(req, self)
         with suppress(ConnectionLost):
             payload.drain()  # a refused STORE left its payload unread
         if payload.lost:
@@ -277,15 +284,6 @@ class DepotServer:
         except OSError:
             return False  # stop() closed the socket
         return _reply(conn, framer, held, resp)
-
-    def dispatch(self, req: Request) -> Response:
-        """Run one request; count it, and log it at DEBUG."""
-        resp = dispatch_request(req, self)
-        self.verb_counts[req.verb] += 1
-        if logger.isEnabledFor(logging.DEBUG):
-            outcome = "OK" if isinstance(resp, OkResponse) else f"ERR:{resp.code}"
-            logger.debug("%s alloc=%s %s", req.verb, _alloc_id_of(req), outcome)
-        return resp
 
     def handle_transfer(self, req: TransferRequest) -> int:
         """Push the source range into the sink: this depot for a local

@@ -10,7 +10,7 @@ Two planes, one depot service: every simulated depot is one ``DepotServer``.
 * Datagram plane: a virtual fabric carrying op frames between named nodes
   with injectable latency, loss, duplication and reordering per directed
   link. Delivery is driven by a single event loop under a seeded RNG: the
-  same seed and script produce the same event log, byte for byte.
+  same seed and the same calls produce the same event log, byte for byte.
 
   A depot keeps one ``SenderState`` per sending node, since op ids are per
   sender session, strictly increasing from zero. A frame runs once all its
@@ -18,8 +18,8 @@ Two planes, one depot service: every simulated depot is one ``DepotServer``.
   A completed op's response is cached and replayed on any later copy of the
   frame, so retransmissions are harmless even for side-effecting verbs. The
   sender may therefore retransmit aggressively: every 50 ms, eight attempts,
-  then give up. A frame that runs goes through the same server's
-  ``dispatch`` as a stream request does; a ``DatagramDepot`` also serves a
+  then give up. A frame that runs goes through ``dispatch_request`` on the
+  same server as a stream request does; a ``DatagramDepot`` also serves a
   server that was never started.
 
 Lease clocks can be virtualized: with ``virtual_time=True`` every depot reads
@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 from .depot import DepotConfig
 from .errors import EbpError, MalformedFrame, UnknownDepot
-from .server import DepotServer
+from .server import DepotServer, dispatch_request
 from .wire import (
     ErrResponse,
     OpFrame,
@@ -243,7 +243,7 @@ class DatagramDepot:
                 request, _ = decode_request(current.body)
                 if VERB_CODES[request.verb] != current.verb_code:
                     raise MalformedFrame(f"verb code {current.verb_code} is not {request.verb}")
-                response = encode_response(self.server.dispatch(request))
+                response = encode_response(dispatch_request(request, self.server))
             except EbpError as exc:
                 response = encode_response(ErrResponse(exc.code, exc.message))
             self.exec_counts[current.op_id] = self.exec_counts.get(current.op_id, 0) + 1
@@ -436,44 +436,3 @@ class SimCluster:
 
     def __exit__(self, *exc) -> None:
         self.stop_all()
-
-
-# ------------------------------------------------------------------ scripts
-
-
-def run_script(cluster: SimCluster, actions: list) -> list:
-    """Execute a JSON-style list of timed actions on the cluster.
-
-    Each action is a dict with ``at_ms`` plus one of::
-
-        {"op": "kill", "depot": "d1"}
-        {"op": "restart", "depot": "d1"}
-        {"op": "set_link", "src": "client", "dst": "d0", "loss_rate": 0.5, ...}
-        {"op": "advance_clock", "seconds": 2}
-
-    Actions run inside the datagram event loop at their virtual times;
-    returns the fabric's event log.
-    """
-    def runner(action):
-        def apply():
-            op = action["op"]
-            if op == "kill":
-                cluster.kill(action["depot"])
-            elif op == "restart":
-                cluster.restart(action["depot"])
-            elif op == "set_link":
-                params = {
-                    k: v for k, v in action.items() if k not in ("op", "at_ms", "src", "dst")
-                }
-                cluster.set_link(action["src"], action["dst"], **params)
-            elif op == "advance_clock":
-                cluster.advance(action["seconds"])
-            else:
-                raise ValueError(f"unknown script op {op!r}")
-
-        return apply
-
-    for action in sorted(actions, key=lambda a: a.get("at_ms", 0)):
-        cluster.loop.schedule(action.get("at_ms", 0) - cluster.loop.now_ms, runner(action))
-    cluster.loop.run_until_idle()
-    return list(cluster.fabric.log)

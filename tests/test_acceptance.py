@@ -30,7 +30,7 @@ from ebp.lodn import LodnScheduler, Policy
 from ebp.lors import download, release_all, upload
 from ebp.nfu import NfuEngine, OutputsState, ResourceBudget, TransformSpec, TransformStatus
 from ebp.server import DepotServer, dispatch_request
-from ebp.simnet import DatagramClient, DatagramDepot, EventLoop, Fabric, SimCluster, run_script
+from ebp.simnet import DatagramClient, DatagramDepot, EventLoop, Fabric, SimCluster
 from ebp.wire import (
     ErrResponse,
     OkResponse,
@@ -515,7 +515,7 @@ def test_acceptance_7_replica_failover(tmp_path):
             path = tmp_path / f"failover-{victim}.xnd.json"
             write_exnode(str(path), x)
             dead_addr = cluster.handle(victim).addr
-            run_script(cluster, [{"at_ms": 0, "op": "kill", "depot": victim}])
+            cluster.kill(victim)
             # Download succeeds with any single depot dark.
             assert download(x, timeout_ms=600) == data, f"failover past {victim}"
             # One scheduler tick restores k=2 everywhere.

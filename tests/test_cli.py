@@ -359,3 +359,11 @@ def test_serve_without_config_is_usage_error(runner, monkeypatch):
     monkeypatch.delenv("EBP_DEPOT_CONFIG", raising=False)
     result = runner.invoke(depot_main, ["serve"])
     assert result.exit_code == 2
+
+
+def test_serve_with_a_wrong_typed_config_field_is_bad_config(runner, tmp_path):
+    path = tmp_path / "depot.json"
+    path.write_text('{"total_capacity": "big"}')
+    result = runner.invoke(depot_main, ["serve", "--config", str(path)])
+    assert result.exit_code == 1
+    assert "bad config: total_capacity must be a number" in result.stderr

@@ -13,6 +13,7 @@ the stream plane.
 from __future__ import annotations
 
 import socket
+from collections import Counter
 
 import pytest
 
@@ -275,3 +276,21 @@ def test_a_released_allocation_is_gone(plane):
     caps = source(plane)
     plane.release(caps.manage)
     assert refusal(plane.probe, caps.manage) == "NoSuchAllocation"
+
+
+# ------------------------------------------------------------------ counting
+
+
+def test_each_request_counts_once_on_home(plane):
+    counts = plane.servers[plane.home].verb_counts
+    before = Counter(counts)
+    caps = source(plane)  # ALLOCATE, STORE
+    dst = plane.allocate(plane.home, 128)
+    plane.load(caps.read, 0, 10)
+    assert refusal(plane.load, caps.write, 0, 1) == "BadCapability"  # refused, still run
+    plane.probe(caps.manage)
+    plane.renew(caps.manage, 60)
+    plane.transfer(caps.read, 0, dst.write, 0, 10)
+    plane.release(dst.manage)
+    expected = {"ALLOCATE": 2, "STORE": 1, "LOAD": 2, "PROBE": 1, "RENEW": 1, "TRANSFER": 1, "RELEASE": 1}
+    assert Counter(counts) - before == expected

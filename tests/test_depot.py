@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import threading
 
@@ -669,4 +670,22 @@ def test_config_requires_total_capacity(tmp_path):
     path = tmp_path / "depot.json"
     path.write_text('{"max_alloc_size": 10}')
     with pytest.raises(ValueError):
+        DepotConfig.from_json_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("total_capacity", True),
+        ("total_capacity", "big"),
+        ("max_alloc_size", None),
+        ("max_duration", "60"),
+        ("overbook_factor", False),
+        ("listen_addr", 7000),
+    ],
+)
+def test_config_rejects_a_wrong_typed_field(tmp_path, field, value):
+    path = tmp_path / "depot.json"
+    path.write_text(json.dumps({"total_capacity": 1000, field: value}))
+    with pytest.raises(ValueError, match=field):
         DepotConfig.from_json_file(str(path))

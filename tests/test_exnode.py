@@ -1,9 +1,8 @@
-"""exNode documents: validation, canonical JSON, coverage lookup."""
+"""exNode documents: validation, canonical JSON."""
 
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +13,6 @@ from ebp.exnode import (
     ExNode,
     Extent,
     Replica,
-    coverage_at,
     from_json,
     make_exnode,
     read_exnode,
@@ -86,43 +84,6 @@ def test_replica_free_extent_rejected():
     assert any("no replicas" in p for p in problems)
 
 
-# ---------------------------------------------------------------- coverage
-
-
-def test_coverage_outside_file_is_empty():
-    x = simple_exnode((10,))
-    assert coverage_at(x, 10) == []
-    assert coverage_at(x, -1) == []
-
-
-def test_coverage_boundary_bytes_hit_one_extent_each():
-    x = simple_exnode((4, 4, 4))
-    for boundary in (0, 3, 4, 7, 8, 11):
-        reps = coverage_at(x, boundary)
-        assert len(reps) == 1
-
-
-def test_coverage_replicated_extent_lists_all():
-    x = simple_exnode((10,), replicas_per_extent=3)
-    assert len(coverage_at(x, 5)) == 3
-
-
-def test_coverage_matches_brute_force_scan():
-    rng = random.Random(8)
-    lengths = [rng.randrange(1, 50) for _ in range(40)]
-    x = simple_exnode(tuple(lengths), replicas_per_extent=2)
-
-    def brute(offset):
-        for extent in x.extents:
-            if extent.offset <= offset < extent.offset + extent.length:
-                return list(extent.replicas)
-        return []
-
-    for _ in range(10_000):
-        offset = rng.randrange(-5, x.total_length + 5)
-        assert coverage_at(x, offset) == brute(offset)
-
-
 # -------------------------------------------------------------------- JSON
 
 
@@ -163,6 +124,14 @@ def test_missing_total_length_is_schema_error():
     doc = json.loads(to_json(simple_exnode((5,))))
     del doc["total_length"]
     with pytest.raises(SchemaError):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("base", [True, "0", 1.5])
+def test_non_integer_base_is_schema_error(base):
+    doc = json.loads(to_json(simple_exnode((5,))))
+    doc["extents"][0]["replicas"][0]["base"] = base
+    with pytest.raises(SchemaError, match="base"):
         from_json(json.dumps(doc))
 
 

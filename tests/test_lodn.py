@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
 import time
 
@@ -114,6 +115,26 @@ def test_policy_json_file_strict(tmp_path):
     assert p.replicas == 2 and p.preferred_depots == ("a:1",)
     ppath.write_text('{"replicas": 2, "renew_before": 5, "check_period": 1, "extra": 1}')
     with pytest.raises(ValueError, match="unknown"):
+        Policy.from_json_file(str(ppath))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("replicas", "2"),
+        ("replicas", True),
+        ("replicas", 2.5),
+        ("renew_before", "5"),
+        ("check_period", False),
+        ("preferred_depots", "127.0.0.1:1"),
+        ("preferred_depots", ["a:1", 2]),
+    ],
+)
+def test_policy_json_file_rejects_a_wrong_typed_field(tmp_path, field, value):
+    doc = {"replicas": 2, "renew_before": 5, "check_period": 1, field: value}
+    ppath = tmp_path / "p.policy.json"
+    ppath.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=field):
         Policy.from_json_file(str(ppath))
 
 
@@ -445,3 +466,14 @@ def test_run_dir_adopts_and_ticks(cluster, tmp_path):
     sched = new_scheduler(lease_s=100)
     run_dir(str(tmp_path), scheduler=sched, max_ticks=2)
     assert [e.path for e in sched.entries()] == [path]
+
+
+def test_run_dir_skips_an_exnode_whose_policy_is_wrong_typed(cluster, tmp_path, caplog):
+    path, *_ = managed_file(cluster, tmp_path, lease_s=100)
+    with open(policy_path_for(path), "w") as fh:
+        json.dump({"replicas": "2", "renew_before": 5, "check_period": 1}, fh)
+    sched = new_scheduler(lease_s=100)
+    with caplog.at_level(logging.ERROR, logger="ebp.lodn"):
+        run_dir(str(tmp_path), scheduler=sched, max_ticks=1)
+    assert sched.entries() == []
+    assert f"cannot adopt {path}" in caplog.text

@@ -19,7 +19,6 @@ from ebp.simnet import (
     Fabric,
     LinkParams,
     SimCluster,
-    run_script,
 )
 from ebp.wire import (
     VERB_CODES,
@@ -256,25 +255,6 @@ def test_seeded_runs_produce_identical_event_logs():
     log_c = run(seed=43)
     assert log_a == log_b
     assert log_a != log_c
-
-
-def test_script_runner_timed_actions():
-    with SimCluster(2, virtual_time=True) as cluster:
-        client = cluster.datagram_client()
-        log = run_script(
-            cluster,
-            [
-                {"at_ms": 0, "op": "set_link", "src": "client", "dst": "d0", "loss_rate": 1.0},
-                {"at_ms": 10, "op": "kill", "depot": "d1"},
-                {"at_ms": 20, "op": "advance_clock", "seconds": 5},
-                {"at_ms": 30, "op": "restart", "depot": "d1"},
-            ],
-        )
-        assert cluster.handle("d1").alive
-        assert cluster.clock.now() >= 1005.0
-        op = client.submit("d0", StatsRequest())
-        cluster.loop.run_until_idle()
-        assert client.ops[op].status == "gave_up"  # loss link persisted
 
 
 def test_delayed_response_bounds_resends_to_three():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 import socket
+from collections import defaultdict
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -246,7 +247,9 @@ class FixedDepot:
 
 
 FIXED_DEPOT = FixedDepot()
-FIXED = SimpleNamespace(depot=FIXED_DEPOT, engine=FIXED_DEPOT, handle_transfer=lambda req: 300)
+FIXED = SimpleNamespace(
+    depot=FIXED_DEPOT, engine=FIXED_DEPOT, handle_transfer=lambda req: 300, verb_counts=defaultdict(int)
+)
 CAPS_TEXT = (
     f"ebp://10.0.0.1:5000/7/{K1}/read ebp://10.0.0.1:5000/7/{K2}/write"
     f" ebp://10.0.0.1:5000/7/{K1}/manage"
@@ -358,7 +361,7 @@ def test_every_verb_reply_parses_through_the_table_and_encodes_back():
     ]
     assert {req.verb for req in requests} == set(VERB_TABLE)
     for req in requests:
-        resp = server.dispatch(req)
+        resp = dispatch_request(req, server)
         assert isinstance(resp, OkResponse), resp
         spec = VERB_TABLE[req.verb]
         values = parse_ok(req.verb, resp.tokens)
