@@ -6,16 +6,20 @@ sessions. Payloads larger than one frame are split into sequential
 ``wire.PIECE`` pieces, and move in place: a STORE piece is a view of the
 caller's data, sent after its header by gathered writes, and a LOAD piece is
 received straight into the caller's buffer, or into the one ``bytearray`` the
-load returns. There are no hidden retries: a timeout on a side-effecting verb
-surfaces as ``Timeout`` and it is the caller's decision what to do next
-(retry safety exists only in datagram mode, where the receiver deduplicates).
+load returns. A STORE of a ``wire.LentPayload`` (the depot's TRANSFER push)
+is one frame sent from a view a depot lends under an allocation's lock: only
+what the socket takes at once goes out under the lock, the rest after it.
+There are no hidden retries: a timeout on a side-effecting verb surfaces as
+``Timeout`` and it is the caller's decision what to do next (retry safety
+exists only in datagram mode, where the receiver deduplicates).
 
 One rule keeps replies with their requests: an open session is in step with
 its depot. A request that ends with anything but an OK reply read whole or a
 depot ``ERR`` line whose code leaves the stream in step closes its session:
 after ``Timeout``, ``ConnectionLost`` or ``MalformedFrame`` (a reply line that
 cannot be read, a reply of the wrong shape, or such an ``ERR`` line), and
-after any exception raised mid-request.
+after any exception raised mid-request but one: the refusal of the depot
+that lends a ``wire.LentPayload``, which comes before any byte is sent.
 
 ``probe_many`` and ``renew_many`` send a batch: up to ``MAX_IN_FLIGHT``
 requests in one write, then their replies read in order, each through the
@@ -53,6 +57,7 @@ from .nfu import ResourceBudget, TransformResult
 from .wire import (
     AllocateRequest,
     Framer,
+    LentPayload,
     LoadRequest,
     ProbeRequest,
     ReleaseRequest,
@@ -105,8 +110,11 @@ class DepotClient:
         return CapabilitySet(*self._request(AllocateRequest, args))
 
     def store(self, cap: Capability, offset: int, data: bytes) -> int:
-        """Write ``data`` (any bytes-like object) at ``offset``, in sequential
-        ``wire.PIECE`` frames sent from views of it."""
+        """Write ``data`` at ``offset``: any bytes-like object, in sequential
+        ``wire.PIECE`` frames sent from views of it, or a ``wire.LentPayload``,
+        in one frame sent as it lends its bytes."""
+        if isinstance(data, LentPayload):
+            return self._request(StoreRequest, (cap, offset, data), len(data))[0]
         view = memoryview(data).cast("B")
         for done, n in pieces(len(view)):
             self._request(StoreRequest, (cap, offset + done, view[done : done + n]), n)
@@ -194,7 +202,13 @@ class DepotClient:
                 req = self._unread.popleft()  # a batch wrote it; only its reply is left
             else:
                 req = make(*args)
-                if make is StoreRequest:
+                if make is StoreRequest and isinstance(req.payload, LentPayload):
+                    try:
+                        req.payload.send_after(self._sock, encode_header(req))
+                    except EbpError:
+                        clean = True  # the lending depot refused; nothing was sent
+                        raise
+                elif make is StoreRequest:
                     send_parts(self._sock, (encode_header(req), req.payload))
                 else:
                     self._sock.sendall(encode_request(req))

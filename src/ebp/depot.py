@@ -53,12 +53,14 @@ capabilities. Design points that matter for correctness:
 * Bytes cross the depot once each way. ``store`` takes a bytes-like
   payload or a lazy one that receives off the socket straight into the
   allocation, a slice at a time, under the allocation's lock (the server
-  bounds that with its transfer timeout). ``load`` copies its range out
-  through a view released before the lock is, and the server sends that
-  copy after the lock is gone. LOAD and the TRANSFER push keep that one copy
-  on purpose: sending from a view under the lock would let a read-cap
-  holder who stops reading block the allocation's writers, and two opposite
-  TRANSFERs could each wait on the other's lock until the transfer timeout.
+  bounds that wait on the sender with its transfer timeout). ``lend`` lends
+  a read-only view of a range under the lock, and the server sends a stream
+  LOAD reply or a remote TRANSFER piece from it: only what the socket takes
+  at once goes out under the lock, and the rest is copied and sent once the
+  lock is released. So the lock never waits on a receiver: a read-cap
+  holder who stops reading never blocks the allocation's writers, and two
+  opposite TRANSFERs never wait on each other's locks. ``load`` copies its
+  range through ``lend``, for every other reader.
 
 Conflicting stores to one allocation serialize on a per-allocation lock;
 operations on distinct allocations may proceed concurrently, and the lease
@@ -71,8 +73,9 @@ import hmac
 import json
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .capability import Capability, CapabilitySet, Hardness, Kind, new_key
 from .errors import (
@@ -503,10 +506,15 @@ class Depot:
                     buf[start:end] = bytes(end - start)
                 raise
 
-    def load(self, cap: Capability, offset: int, length: int) -> LoadResult:
-        """Read ``length`` bytes from ``offset``; never past ``used``.
-
-        Bytes below ``used`` that were never written read as zero.
+    @contextmanager
+    def lend(self, cap: Capability, offset: int, length: int) -> Iterator[tuple]:
+        """Lend ``(view, unknown_state)`` for ``length`` bytes from
+        ``offset``, with ``load``'s checks: ``view`` is a read-only view of
+        the allocation's own bytes, valid inside the ``with`` block, which
+        holds the allocation's lock. So the borrower must not wait on
+        anything there, a peer least of all, and must release every view it
+        makes of ``view`` before the block ends, on every path: a live export
+        would make the next growth of the buffer fail.
         """
         if offset < 0 or length < 0:
             raise OutOfRange("negative offset or length")
@@ -519,10 +527,17 @@ class Depot:
                 raise OutOfRange(
                     f"load [{offset}, {offset + length}) exceeds used {alloc.used}"
                 )
-            # One copy, through a view released before the lock is: a live
-            # export would make the next growth of alloc.buf fail.
-            with memoryview(alloc.buf)[offset : offset + length] as view:
-                return LoadResult(bytes(view), alloc.poisoned)
+            with memoryview(alloc.buf)[offset : offset + length].toreadonly() as view:
+                yield view, alloc.poisoned
+
+    def load(self, cap: Capability, offset: int, length: int) -> LoadResult:
+        """Read ``length`` bytes from ``offset``; never past ``used``.
+
+        Bytes below ``used`` that were never written read as zero. The
+        result is a copy made through ``lend``.
+        """
+        with self.lend(cap, offset, length) as (view, unknown):
+            return LoadResult(bytes(view), unknown)
 
     # ----------------------------------------------------------------- leases
 

@@ -4,17 +4,22 @@ plane. Started, it listens on TCP, with one logical handler per session and
 a periodic lease sweeper. Never started, it binds no socket and runs no
 thread, and serves the datagram plane and in-process callers.
 ``dispatch_request`` counts each request it runs in ``verb_counts``, on every
-plane.
+plane. A session answers LOAD itself, from a view the depot lends, and
+counts it the same way.
 
 TRANSFER is source-initiated push, run by ``DepotServer.handle_transfer``: a
 LOAD of the source range, then a STORE of those bytes, one ``wire.PIECE`` at
 a time and always at least one piece, so a zero-length TRANSFER checks both
-capabilities as a zero-length STORE does. A source on
-another depot is ``NotLocal``. A remote destination is stored into through a
-pooled client session to its depot, on every plane, and one that cannot be
-reached is ``RemoteUnreachable``. A local destination copied from an
-unknown-state source is left unknown-state. The requester never carries
-payload bytes.
+capabilities as a zero-length STORE does. A source on another depot is
+``NotLocal``. A remote destination is stored into through a pooled client
+session to its depot, on every plane, and one that cannot be reached is
+``RemoteUnreachable``. Each remote piece goes out from a view the depot
+lends, as a stream LOAD reply does: the lock is held only while the socket
+takes bytes without waiting (see ``ebp.depot``). A local destination gets a
+copy of each piece, since storing from a lent view would hold both
+allocations' locks, which two opposite local pushes take in opposite
+orders; one copied from an unknown-state source is left unknown-state. The
+requester never carries payload bytes.
 
 A STORE's payload is not read before dispatch: the handler gets a lazy
 ``wire.Payload`` and ``Depot.store`` receives it straight into the
@@ -47,7 +52,8 @@ import socket
 import threading
 import time
 from collections import defaultdict
-from contextlib import nullcontext, suppress
+from contextlib import suppress
+from functools import partial
 from typing import Optional
 
 from .capability import Hardness
@@ -68,6 +74,8 @@ from .wire import (
     VERB_TABLE,
     ErrResponse,
     Framer,
+    LentPayload,
+    LoadRequest,
     OkResponse,
     Payload,
     Request,
@@ -76,6 +84,7 @@ from .wire import (
     encode_response,
     parse_request_header,
     pieces,
+    send_now,
     send_parts,
 )
 
@@ -96,6 +105,12 @@ def dispatch_request(req: Request, server: "DepotServer") -> Response:
     except Exception:  # never crash the session on a handler bug
         logger.exception("internal error handling %s", req.verb)
         resp = ErrResponse("MalformedFrame", "internal error")
+    return _counted(req, server, resp)
+
+
+def _counted(req: Request, server: "DepotServer", resp: Response) -> Response:
+    """``resp``, once ``req`` is counted in ``server.verb_counts`` and logged
+    at DEBUG with its outcome."""
     server.verb_counts[req.verb] += 1
     if logger.isEnabledFor(logging.DEBUG):
         outcome = "OK" if isinstance(resp, OkResponse) else f"ERR:{resp.code}"
@@ -264,7 +279,10 @@ class DepotServer:
             _flush(conn, held, ErrResponse("MalformedFrame", "declared payload exceeds depot limit"))
             return False
         if not payload_len:
-            return _reply(conn, framer, held, dispatch_request(build(b""), self))
+            req = build(b"")
+            if isinstance(req, LoadRequest):
+                return self._send_load(conn, framer, held, req)
+            return _reply(conn, framer, held, dispatch_request(req, self))
         # The client may wait for the held replies before it sends the payload.
         if not _flush(conn, held):
             return False
@@ -285,21 +303,42 @@ class DepotServer:
             return False  # stop() closed the socket
         return _reply(conn, framer, held, resp)
 
+    def _send_load(self, conn: socket.socket, framer: Framer, held: list, req: LoadRequest) -> bool:
+        """Answer a stream LOAD from a view the depot lends: the held
+        replies, the header and as much of the view as the socket takes at
+        once go out under the allocation's lock, and the rest, copied, once
+        it is released. Counted and logged as ``dispatch_request`` does."""
+        try:
+            with self.depot.lend(req.cap, req.offset, req.length) as (view, unknown):
+                resp = VERB_TABLE["LOAD"].ok((view, unknown))
+                try:
+                    rest = send_now(conn, _parts(held, resp))
+                except OSError:
+                    rest = None
+        except EbpError as exc:
+            return _reply(conn, framer, held, _counted(req, self, ErrResponse(exc.code, exc.message)))
+        _counted(req, self, resp)
+        return rest is not None and _send(conn, rest)
+
     def handle_transfer(self, req: TransferRequest) -> int:
         """Push the source range into the sink: this depot for a local
         destination, else a pooled client session to the destination's."""
         depot = self.depot
         if req.src.depot_addr != depot.addr:
             raise NotLocal(f"transfer source {req.src.depot_addr} is not this depot")
-        local = req.dst.depot_addr == depot.addr
-        opened = nullcontext(depot) if local else session(req.dst.depot_addr, self._transfer_timeout_ms)
+        if req.dst.depot_addr == depot.addr:
+            for done, n in pieces(req.length):
+                data, unknown = depot.load(req.src, req.src_offset + done, n)
+                depot.store(req.dst, req.dst_offset + done, data)
+                if unknown:
+                    depot.mark_unknown(req.dst)
+            return req.length
         try:
-            with opened as sink:
+            with session(req.dst.depot_addr, self._transfer_timeout_ms) as sink:
                 for done, n in pieces(req.length):
-                    data, unknown = depot.load(req.src, req.src_offset + done, n)
-                    sink.store(req.dst, req.dst_offset + done, data)
-                    if unknown and local:  # a remote sink cannot carry the flag
-                        depot.mark_unknown(req.dst)
+                    lend = partial(depot.lend, req.src, req.src_offset + done, n)
+                    # A remote sink cannot carry the unknown-state flag.
+                    sink.store(req.dst, req.dst_offset + done, LentPayload(lend, n))
             return req.length
         except (ConnectionLost, Timeout) as exc:
             raise RemoteUnreachable(f"destination {req.dst.depot_addr}: {exc.message}") from exc
@@ -334,11 +373,14 @@ def _reply(conn: socket.socket, framer: Framer, held: list, resp: Response) -> b
 
 def _flush(conn: socket.socket, held: list, resp: Optional[Response] = None) -> bool:
     """Best-effort write of the held replies, then ``resp``, in one gathered
-    write; a vanished peer is not an error, and returns False.
+    write; a vanished peer is not an error, and returns False."""
+    return _send(conn, _parts(held, resp))
 
-    A payload goes out after its header, never copied into one buffer with
-    it.
-    """
+
+def _parts(held: list, resp: Optional[Response]) -> list:
+    """The held replies, then ``resp``, as the parts of one gathered write,
+    and ``held`` emptied. A payload goes out after its header, never copied
+    into one buffer with it."""
     parts = [b"".join(held)] if held else []
     held.clear()
     if resp is not None:
@@ -347,6 +389,11 @@ def _flush(conn: socket.socket, held: list, resp: Optional[Response] = None) -> 
             parts += (encode_response(OkResponse(resp.tokens)), payload)
         else:
             parts.append(encode_response(resp))
+    return parts
+
+
+def _send(conn: socket.socket, parts: list) -> bool:
+    """Write ``parts``; False once the peer has gone."""
     try:
         send_parts(conn, parts)
         return True

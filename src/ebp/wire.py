@@ -32,6 +32,9 @@ Two transports share one request vocabulary:
   ``Payload`` stands in for the bytes, and the depot receives it into the
   allocation itself. ``send_parts`` writes a header and its payload with
   gathered ``sendmsg`` calls, never copying the payload next to the header.
+  ``send_now`` sends only what the socket takes at once, so a payload lent
+  from an allocation under its lock goes out without waiting on the peer;
+  ``LentPayload`` is a STORE payload sent that way.
 
 * Datagram mode: fixed binary frames ("EBP1" magic, big-endian integers)
   carrying an op id, up to 16 dependency tags, a verb code and a body that is
@@ -425,16 +428,17 @@ class Framer:
 
     def readline(self) -> bytearray:
         """One header line including its LF, as one copy out of the buffer
-        (the header parsers take it as it is). MalformedFrame once more than
-        ``MAX_HEADER_BYTES`` arrive with no LF, since the stream cannot be
-        re-synchronized; a longer terminated line is left to the parser."""
+        (the header parsers take it as it is). MalformedFrame once
+        ``MAX_HEADER_BYTES`` bytes have arrived with no LF among them, since
+        the stream cannot be re-synchronized; so a line over the limit is
+        refused however its bytes arrive."""
         while True:
-            nl = self.buf.find(b"\n")
+            nl = self.buf.find(b"\n", 0, MAX_HEADER_BYTES)
             if nl >= 0:
                 line = self.buf[: nl + 1]
                 del self.buf[: nl + 1]
                 return line
-            if len(self.buf) > MAX_HEADER_BYTES:
+            if len(self.buf) >= MAX_HEADER_BYTES:
                 raise MalformedFrame("header too long")
             chunk = self.sock.recv(65536)
             if not chunk:
@@ -443,7 +447,7 @@ class Framer:
 
     def line_ready(self) -> bool:
         """True when a whole header line is buffered: ``readline`` returns
-        it without reading the socket."""
+        it, or refuses it, without reading the socket."""
         return b"\n" in self.buf
 
     def read_into(self, view: memoryview, deadline: Optional[float] = None) -> None:
@@ -513,6 +517,63 @@ class Payload:
             with memoryview(bytearray(min(self._unread, 65536))) as sink:
                 while self._unread:
                     self.readinto(sink[: self._unread])
+
+
+class LentPayload:
+    """A STORE payload still in a depot allocation: ``len()`` bytes that
+    ``lend()`` lends as ``Depot.lend`` does, a context manager that yields
+    ``(read-only view, unknown_state)`` under the allocation's lock.
+
+    The sending twin of ``Payload``: ``send_after`` sends a header, then
+    these bytes straight from the lent view as far as the socket takes them
+    at once, and the rest from a copy once the lock is released, so the
+    allocation is never held while its receiver is waited on.
+    """
+
+    def __init__(self, lend: Callable, length: int):
+        self._lend = lend
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def send_after(self, sock: socket.socket, header: bytes) -> None:
+        """Send ``header``, then the payload. Socket errors and timeouts
+        propagate, and so does an error of the lending depot, raised before
+        any byte is sent."""
+        with self._lend() as (view, _unknown):
+            rest = send_now(sock, [header, view])
+        send_parts(sock, rest)
+
+
+def send_now(sock: socket.socket, parts) -> list:
+    """Send as much of the bytes-like ``parts`` as the kernel takes at once,
+    by one gathered ``sendmsg`` that never waits, and return copies of the
+    bytes left, for ``send_parts``. So a view among ``parts``, one lent
+    under a lock, may be released as soon as this returns; every view made
+    here is released before it returns or raises. Socket errors propagate.
+    """
+    views = [memoryview(part).cast("B") for part in parts]
+    try:
+        timeout = sock.gettimeout()
+        # With a timeout, CPython polls for room before it sends, which can
+        # wait; a timeout of 0 sends or fails at once.
+        sock.settimeout(0)
+        try:
+            sent = sock.sendmsg(views)
+        except BlockingIOError:
+            sent = 0
+        finally:
+            sock.settimeout(timeout)
+        rest = []
+        for view in views:
+            if sent < len(view):
+                rest.append(bytes(view[sent:]))
+            sent = max(0, sent - len(view))
+        return rest
+    finally:
+        for view in views:
+            view.release()
 
 
 def send_parts(sock: socket.socket, parts) -> None:

@@ -252,8 +252,8 @@ def test_path_upload_reads_one_chunk_at_a_time(tmp_path, monkeypatch):
     assert shape(from_path) == shape(from_bytes)
 
 
-# The in-process depots copy out each 1 MiB LOAD piece they send, so the
-# peaks below include one such copy per parallel fetch.
+# The in-process depots count too; they send LOAD pieces from their
+# allocations, with no copy per piece.
 
 
 def test_download_holds_one_file_sized_buffer():

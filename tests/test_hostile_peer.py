@@ -75,9 +75,9 @@ def oracle(stream: bytes, twin: DepotServer) -> tuple:
     STORE cut off mid-payload or None), each request run on ``twin``."""
     replies, pos = [], 0
     while True:
-        nl = stream.find(b"\n", pos)
-        if nl < 0:  # the stream ends inside a header line
-            if len(stream) - pos > MAX_HEADER_BYTES:
+        nl = stream.find(b"\n", pos, pos + MAX_HEADER_BYTES)
+        if nl < 0:  # no LF within a header's room: the session ends
+            if len(stream) - pos >= MAX_HEADER_BYTES:
                 replies.append(ErrResponse("MalformedFrame", "header too long"))
             return replies, None
         line, pos = stream[pos : nl + 1], nl + 1
@@ -170,9 +170,17 @@ def cut_store(cap, offset: int, data: bytes, keep: float) -> bytes:
     return full[: len(full) - len(data) + int(keep * (len(data) - 1))]
 
 
+def padded(cap, over: int) -> bytes:
+    """A PROBE line padded to ``over`` bytes past the header limit, LF
+    included: refused, and one past the limit ends the session."""
+    line = f"PROBE {cap.text()} ".encode()
+    return line + b"A" * (MAX_HEADER_BYTES + over - len(line) - 1) + b"\n"
+
+
 # A step: sets -> the bytes it sends.
 step = st.one_of(
     request.map(lambda make: lambda sets: encode_request(make(sets))),
+    st.builds(lambda c, over: lambda sets: padded(c(sets), over), caps_of, st.integers(-1, 2)),
     st.builds(lambda make, cut: lambda sets: truncated(encode_request(make(sets)), cut), request, st.floats(0, 1)),
     request.map(lambda make: lambda sets: bare_cr(encode_request(make(sets)))),
     st.sampled_from((0, 1)).map(

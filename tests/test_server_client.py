@@ -198,15 +198,19 @@ def test_malformed_header_gets_err_and_session_survives(server):
         assert sock.recv(4096).startswith(b"OK 0 0 0 0")
 
 
-def test_overlong_header_with_lf_is_rejected_but_consumed(server):
-    # A 5000-byte line is over the header limit, but since it is terminated
-    # the stream stays in sync and the session keeps serving.
+def test_overlong_header_with_lf_ends_the_session(server):
+    """A terminated line over the header limit gets one ERR and ends the
+    session, however its bytes arrive: in one write, or cut before its LF."""
+    line = b"ALLOCATE " + b"9" * 5000 + b" 60 soft\n"
     host, port = server.addr.rsplit(":", 1)
-    with socket.create_connection((host, int(port)), timeout=5) as sock:
-        sock.sendall(b"ALLOCATE " + b"9" * 5000 + b" 60 soft\n")
-        assert sock.recv(4096).startswith(b"ERR MalformedFrame")
-        sock.sendall(b"STATS\n")
-        assert sock.recv(4096).startswith(b"OK ")
+    for sent in (len(line), 4500):
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(line[:sent])
+            assert sock.recv(4096) == b"ERR MalformedFrame header too long\n"
+            try:
+                assert sock.recv(4096) == b""
+            except ConnectionResetError:  # closed with some of the line unread
+                pass
 
 
 def test_oversized_declared_payload_closes_stream(server):

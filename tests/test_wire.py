@@ -21,6 +21,7 @@ from ebp.server import dispatch_request
 from ebp.wire import (
     AllocateRequest,
     ErrResponse,
+    Framer,
     LoadRequest,
     MAX_HEADER_BYTES,
     OkResponse,
@@ -179,6 +180,30 @@ def test_header_at_limit_ok_but_one_byte_over_rejected():
 def test_no_lf_within_limit_rejected():
     with pytest.raises(MalformedFrame):
         decode_request(b"A" * (MAX_HEADER_BYTES + 10))
+
+
+class Chunks:
+    """A socket whose ``recv`` returns the given chunks, one per call."""
+
+    def __init__(self, data: bytes, cuts: tuple):
+        ends = (*cuts, len(data))
+        self.chunks = [data[start:end] for start, end in zip((0, *cuts), ends)]
+
+    def recv(self, _n: int) -> bytes:
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+@pytest.mark.parametrize("cuts", [(), (100,), (4000,), (4095,), (4096,), (4097,), (4000, 4097)])
+def test_framer_takes_a_line_at_the_limit_and_refuses_one_over_it_however_it_arrives(cuts):
+    at_limit = b"PROBE " + b"A" * (MAX_HEADER_BYTES - 7) + b"\n"
+    framer = Framer(Chunks(at_limit + b"STATS\n", cuts))
+    assert framer.readline() == at_limit
+    assert framer.readline() == b"STATS\n"
+
+    over = b"PROBE " + b"A" * (MAX_HEADER_BYTES - 6) + b"\n"
+    framer = Framer(Chunks(over + b"STATS\n", cuts))
+    with pytest.raises(MalformedFrame, match="header too long"):
+        framer.readline()
 
 
 # ------------------------------------------------------------- responses
