@@ -118,7 +118,10 @@ def main() -> None:
 def put_cmd(file, depots, k, chunk, lease, output, as_json):
     """Upload FILE into the mesh and write its exNode document."""
     addrs = _depot_list(depots)
-    exnode = lors.upload(file, addrs, chunk_size=parse_size(chunk), k=k, lease_s=lease)
+    try:
+        exnode = lors.upload(file, addrs, chunk_size=parse_size(chunk), k=k, lease_s=lease)
+    except ValueError as exc:  # lors refuses k or the chunk size
+        raise click.UsageError(str(exc)) from None
     out_path = output or file + FILE_SUFFIX
     write_exnode(out_path, exnode)
     if as_json:

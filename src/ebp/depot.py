@@ -74,7 +74,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .capability import Capability, CapabilitySet, Hardness, Kind, new_key
@@ -100,13 +100,22 @@ _STORE_SLICE = 256 * 1024
 # back to malloc, whose own free lists serve them without new pages.
 _RECYCLE_MIN = 64 * 1024
 
-_CONFIG_FIELDS = {
-    "max_alloc_size",
-    "max_duration",
-    "total_capacity",
-    "overbook_factor",
-    "listen_addr",
-}
+
+def from_json_fields(cls, path: str, what: str):
+    """The dataclass ``cls`` built from the JSON object in file ``path``,
+    which must name only ``cls``'s fields and every field with no default;
+    ``ValueError`` names ``what`` the file holds otherwise."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{what} requires {f.name}")
+    return cls(**doc)
 
 
 @dataclass
@@ -135,16 +144,7 @@ class DepotConfig:
 
     @classmethod
     def from_json_file(cls, path: str) -> "DepotConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("depot config must be a JSON object")
-        unknown = set(doc) - _CONFIG_FIELDS
-        if unknown:
-            raise ValueError(f"unknown depot config fields: {sorted(unknown)}")
-        if "total_capacity" not in doc:
-            raise ValueError("depot config requires total_capacity")
-        return cls(**doc)
+        return from_json_fields(cls, path, "depot config")
 
 
 class DepotStats(NamedTuple):

@@ -46,10 +46,6 @@ class ResourceExhausted(EbpError):
     code = "ResourceExhausted"
 
 
-class DuplicateName(EbpError):
-    code = "DuplicateName"
-
-
 class UnknownOperation(EbpError):
     code = "UnknownOperation"
 

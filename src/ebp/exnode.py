@@ -13,6 +13,9 @@ unknown fields survive a parse/serialize round-trip untouched. Files use the
 
 Write and manage capabilities are optional in serialized form: handing
 someone a read-only exNode is a first-class use.
+
+The JSON form of each object (``Replica``, ``Extent``, ``ExNode``) is one
+table of fields in ``_FIELDS``; one walk writes it and one reads it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 from .capability import Capability, Kind, parse_capability
 from .errors import MalformedFrame, ParseError, SchemaError, VersionUnsupported
@@ -106,36 +109,50 @@ def validate(exnode: ExNode) -> list:
 
 
 # --------------------------------------------------------------------- JSON
+#
+# Each object's JSON form is declared once, as one table of fields that
+# ``_dump`` and ``_load`` walk. A key no row names is an unknown field, kept
+# opaquely in ``extra``. A row's kind is the type its value must have, a
+# capability ``Kind``, ``dict`` for a string map, or the class of the objects
+# its list holds. Loading checks an object's own fields in row order, then
+# the objects it holds.
 
-_REPLICA_KEYS = {"depot", "read", "write", "manage", "base"}
-_EXTENT_KEYS = {"offset", "length", "replicas"}
-_TOP_KEYS = {"version", "total_length", "extents", "metadata"}
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    key: str  # the JSON key
+    kind: object
+    default: object = _REQUIRED  # the attribute's value when the key is absent
+    attr: str = ""  # the attribute, when it is not named as the key
+
+
+_VERSION = _Field("version", int)  # checked as soon as it is read
+_FIELDS = {
+    Replica: (
+        _Field("depot", str, attr="depot_addr"),
+        _Field("read", Kind.READ),
+        _Field("write", Kind.WRITE, None),
+        _Field("manage", Kind.MANAGE, None),
+        _Field("base", int, 0),
+    ),
+    Extent: (
+        _Field("offset", int),
+        _Field("length", int),
+        _Field("replicas", Replica),
+    ),
+    ExNode: (
+        _VERSION,
+        _Field("total_length", int),
+        _Field("extents", Extent),
+        _Field("metadata", dict, ()),
+    ),
+}
 
 
 def to_json(exnode: ExNode) -> str:
     """Canonical UTF-8 JSON document; identical exNodes yield identical bytes."""
-    doc = {k: _thaw(v) for k, v in exnode.extra}
-    doc["version"] = exnode.version
-    doc["total_length"] = exnode.total_length
-    doc["metadata"] = dict(exnode.metadata)
-    doc["extents"] = []
-    for extent in exnode.extents:
-        edoc = {k: _thaw(v) for k, v in extent.extra}
-        edoc["offset"] = extent.offset
-        edoc["length"] = extent.length
-        edoc["replicas"] = []
-        for replica in extent.replicas:
-            rdoc = {k: _thaw(v) for k, v in replica.extra}
-            rdoc["depot"] = replica.depot_addr
-            rdoc["read"] = replica.read.text()
-            if replica.write is not None:
-                rdoc["write"] = replica.write.text()
-            if replica.manage is not None:
-                rdoc["manage"] = replica.manage.text()
-            rdoc["base"] = replica.base
-            edoc["replicas"].append(rdoc)
-        doc["extents"].append(edoc)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return json.dumps(_dump(exnode), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def from_json(document: str) -> ExNode:
@@ -143,90 +160,75 @@ def from_json(document: str) -> ExNode:
         doc = json.loads(document)
     except (json.JSONDecodeError, TypeError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    exnode = _load(ExNode, doc, "")
+    return replace(exnode, extents=tuple(sorted(exnode.extents, key=lambda e: e.offset)))
+
+
+def _dump(obj) -> dict:
+    """``obj``'s JSON object; a field that is None is left out."""
+    doc = {k: _thaw(v) for k, v in obj.extra}
+    for field in _FIELDS[type(obj)]:
+        value = getattr(obj, field.attr or field.key)
+        if value is None:
+            continue
+        if isinstance(field.kind, Kind):
+            value = value.text()
+        elif field.kind is dict:
+            value = dict(value)
+        elif field.kind in _FIELDS:
+            value = [_dump(item) for item in value]
+        doc[field.key] = value
+    return doc
+
+
+def _load(cls: type, doc, path: str):
+    """A ``cls`` from its JSON object ``doc``; ``path`` names where it sits
+    in the document, "" at the top level and with a trailing space below."""
+    where = path.rstrip() or "top level"
     if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
-    version = _require(doc, "version", int, "top level")
-    if version != FORMAT_VERSION:
-        raise VersionUnsupported(f"format version {version} not supported")
-    total_length = _require(doc, "total_length", int, "top level")
-    raw_extents = _require(doc, "extents", list, "top level")
-    raw_metadata = doc.get("metadata", {})
-    if not isinstance(raw_metadata, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in raw_metadata.items()
-    ):
-        raise SchemaError("metadata must be a string map")
-    extents = []
-    for i, edoc in enumerate(raw_extents):
-        if not isinstance(edoc, dict):
-            raise SchemaError(f"extent {i} must be an object")
-        offset = _require(edoc, "offset", int, f"extent {i}")
-        length = _require(edoc, "length", int, f"extent {i}")
-        raw_replicas = _require(edoc, "replicas", list, f"extent {i}")
-        replicas = []
-        for j, rdoc in enumerate(raw_replicas):
-            if not isinstance(rdoc, dict):
-                raise SchemaError(f"extent {i} replica {j} must be an object")
-            where = f"extent {i} replica {j}"
-            depot = _require(rdoc, "depot", str, where)
-            read = _cap(rdoc, "read", Kind.READ, where, required=True)
-            write = _cap(rdoc, "write", Kind.WRITE, where)
-            manage = _cap(rdoc, "manage", Kind.MANAGE, where)
-            base = _require(rdoc, "base", int, where) if "base" in rdoc else 0
-            replicas.append(
-                Replica(
-                    depot_addr=depot,
-                    read=read,
-                    write=write,
-                    manage=manage,
-                    base=base,
-                    extra=_extras(rdoc, _REPLICA_KEYS),
-                )
-            )
-        extents.append(
-            Extent(
-                offset=offset,
-                length=length,
-                replicas=tuple(replicas),
-                extra=_extras(edoc, _EXTENT_KEYS),
-            )
-        )
-    return ExNode(
-        total_length=total_length,
-        extents=tuple(sorted(extents, key=lambda e: e.offset)),
-        metadata=tuple(sorted(raw_metadata.items())),
-        version=version,
-        extra=_extras(doc, _TOP_KEYS),
-    )
+        raise SchemaError(f"{where} must be an object")
+    values = {}
+    for field in _FIELDS[cls]:
+        if field.key in doc:
+            value = _value(field, doc[field.key], where)
+        elif field.default is _REQUIRED:
+            raise SchemaError(f"{where} is missing required field {field.key!r}")
+        else:
+            value = field.default
+        if field is _VERSION and value != FORMAT_VERSION:
+            raise VersionUnsupported(f"format version {value} not supported")
+        values[field.attr or field.key] = value
+    for field in _FIELDS[cls]:
+        if field.kind in _FIELDS:
+            name, label = field.attr or field.key, path + field.kind.__name__.lower()
+            values[name] = tuple(_load(field.kind, d, f"{label} {i} ") for i, d in enumerate(values[name]))
+    known = {field.key for field in _FIELDS[cls]}
+    return cls(**values, extra=tuple(sorted((k, _freeze(v)) for k, v in doc.items() if k not in known)))
 
 
-def _require(doc: dict, key: str, kind: type, where: str):
-    if key not in doc:
-        raise SchemaError(f"{where} is missing required field {key!r}")
-    value = doc[key]
+def _value(field: _Field, value, where: str):
+    """The attribute a JSON ``value`` of ``field`` at ``where`` gives."""
+    kind, key = field.kind, field.key
+    if isinstance(kind, Kind):
+        if not isinstance(value, str):
+            raise SchemaError(f"{where} field {key!r} must be a capability string")
+        try:
+            cap = parse_capability(value)
+        except MalformedFrame as exc:
+            raise SchemaError(f"{where} field {key!r}: {exc.message}") from exc
+        if cap.kind is not kind:
+            raise SchemaError(f"{where} field {key!r} holds a {cap.kind.value} capability")
+        return cap
+    if kind is dict:
+        if not isinstance(value, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in value.items()
+        ):
+            raise SchemaError(f"{key} must be a string map")
+        return tuple(sorted(value.items()))
+    kind = list if kind in _FIELDS else kind
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaError(f"{where} field {key!r} must be {kind.__name__}")
     return value
-
-
-def _cap(doc: dict, key: str, kind: Kind, where: str, required: bool = False):
-    if key not in doc:
-        if required:
-            raise SchemaError(f"{where} is missing required field {key!r}")
-        return None
-    text = doc[key]
-    if not isinstance(text, str):
-        raise SchemaError(f"{where} field {key!r} must be a capability string")
-    try:
-        cap = parse_capability(text)
-    except MalformedFrame as exc:
-        raise SchemaError(f"{where} field {key!r}: {exc.message}") from exc
-    if cap.kind is not kind:
-        raise SchemaError(f"{where} field {key!r} holds a {cap.kind.value} capability")
-    return cap
-
-
-def _extras(doc: dict, known: set) -> tuple:
-    return tuple(sorted((k, _freeze(v)) for k, v in doc.items() if k not in known))
 
 
 def _freeze(value):

@@ -39,7 +39,6 @@ exNode file is atomically rewritten only when repair changed its capabilities.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
@@ -49,13 +48,13 @@ from typing import NamedTuple, Optional
 from . import lors
 from .capability import Capability
 from .client import session
+from .depot import from_json_fields
 from .errors import EbpError, NotManaged, ValidationFailed
 from .exnode import FILE_SUFFIX, ExNode, read_exnode, validate, write_exnode
 
 logger = logging.getLogger("ebp.lodn")
 
 POLICY_SUFFIX = ".policy.json"
-_POLICY_FIELDS = {"replicas", "renew_before", "check_period", "preferred_depots"}
 
 
 @dataclass(frozen=True)
@@ -83,14 +82,7 @@ class Policy:
 
     @classmethod
     def from_json_file(cls, path: str) -> "Policy":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("policy must be a JSON object")
-        unknown = set(doc) - _POLICY_FIELDS
-        if unknown:
-            raise ValueError(f"unknown policy fields: {sorted(unknown)}")
-        return cls(**doc)
+        return from_json_fields(cls, path, "policy")
 
 
 @dataclass
@@ -313,7 +305,7 @@ def run_dir(
         try:
             sched.adopt(exnode_path, Policy.from_json_file(ppath))
             logger.info("adopted %s", exnode_path)
-        except (ValidationFailed, ValueError) as exc:
+        except (ValidationFailed, ValueError, OSError) as exc:
             logger.error("cannot adopt %s: %s", exnode_path, exc)
     period = min((e.policy.check_period for e in sched.entries()), default=1.0)
     ticks = 0

@@ -104,7 +104,7 @@ def _chunks_of(source) -> Iterator[tuple]:
     def read(offset: int, n: int) -> bytes:
         chunk = os.pread(fd, n, offset)
         if len(chunk) != n:
-            raise ValueError(f"{source} changed size during upload")
+            raise OSError(f"{source} changed size during upload")
         return chunk
 
     try:

@@ -1,10 +1,10 @@
 """Resource-budgeted transforms executed next to the data they touch.
 
-A transform applies one named operation from a static registry to buffers that
-all live on the executing depot; it never opens a network connection. Every
-run carries a budget over three dimensions -- wall-clock milliseconds, peak
-scratch bytes, and I/O bytes (input reads plus output writes) -- enforced
-*during* execution, not merely checked up front.
+A transform applies one named operation from the fixed set ``OPS`` to buffers
+that all live on the executing depot; it never opens a network connection.
+Every run carries a budget over three dimensions -- wall-clock milliseconds,
+peak scratch bytes, and I/O bytes (input reads plus output writes) --
+enforced *during* execution, not merely checked up front.
 
 Failure semantics are deliberately blunt: when a run ends in anything other
 than ``OK``, every output allocation is poisoned and reads of it report
@@ -13,11 +13,11 @@ that read an input in unknown state, even one that ends ``OK``: its result
 then reports ``outputs_state`` unknown. Callers detect and recover; the
 depot promises nothing.
 
-Operations are pure functions of their inputs and params. The shipped
-registry holds exactly: ``checksum-crc32``, ``checksum-sha256``, ``xor``,
-``copy-range``, ``fill``, ``rle-compress``, ``rle-decompress``. There is no
-code upload; extra operations can only be registered in-process, which keeps
-the execution surface auditable.
+Operations are pure functions of their inputs and params. ``OPS`` holds
+exactly: ``checksum-crc32``, ``checksum-sha256``, ``xor``, ``copy-range``,
+``fill``, ``rle-compress``, ``rle-decompress``; any other name is
+``UnknownOperation``. There is no code upload and no registration in process,
+which keeps the execution surface auditable.
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ import threading
 import time
 import zlib
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Optional
 
 from .capability import Kind
 from .depot import Depot
 from .errors import (
     BadCapability,
-    DuplicateName,
     EbpError,
     NotLocal,
     OutOfRange,
@@ -169,43 +169,20 @@ class OpContext:
         raise _OpFault(message)
 
 
-OpFn = Callable[[OpContext], None]
-
-
-@dataclass
-class Registry:
-    """Named operations; registration is append-only."""
-
-    _ops: dict = field(default_factory=dict)
-
-    def register(self, op_name: str, fn: OpFn) -> None:
-        if op_name in self._ops:
-            raise DuplicateName(f"operation {op_name!r} already registered")
-        self._ops[op_name] = fn
-
-    def resolve(self, op_name: str) -> OpFn:
-        try:
-            return self._ops[op_name]
-        except KeyError:
-            raise UnknownOperation(f"no operation named {op_name!r}") from None
-
-    def names(self) -> list[str]:
-        return sorted(self._ops)
-
-
 class NfuEngine:
     """Executes transforms against one depot's allocations."""
 
     def __init__(self, depot: Depot):
         self.depot = depot
-        self.registry = builtin_registry()
         self._serial_lock = threading.Lock()
         # alloc id -> [lock, transforms holding or waiting on it]; an entry
         # goes once its count drops to zero, so the map holds only live work.
         self._output_locks: dict[int, list] = {}
 
     def execute(self, spec: TransformSpec) -> TransformResult:
-        fn = self.registry.resolve(spec.op_name)
+        fn = OPS.get(spec.op_name)
+        if fn is None:
+            raise UnknownOperation(f"no operation named {spec.op_name!r}")
         self._validate_caps(spec)
         with self._locks_for(spec.outputs):
             ctx = OpContext(self.depot, spec)
@@ -442,13 +419,13 @@ def _op_rle_decompress(ctx: OpContext) -> None:
     ctx.emit(0, out)
 
 
-def builtin_registry() -> Registry:
-    reg = Registry()
-    reg.register("checksum-crc32", _op_checksum_crc32)
-    reg.register("checksum-sha256", _op_checksum_sha256)
-    reg.register("xor", _op_xor)
-    reg.register("copy-range", _op_copy_range)
-    reg.register("fill", _op_fill)
-    reg.register("rle-compress", _op_rle_compress)
-    reg.register("rle-decompress", _op_rle_decompress)
-    return reg
+# The whole op set, read-only: op name -> the function that runs it.
+OPS = MappingProxyType({
+    "checksum-crc32": _op_checksum_crc32,
+    "checksum-sha256": _op_checksum_sha256,
+    "xor": _op_xor,
+    "copy-range": _op_copy_range,
+    "fill": _op_fill,
+    "rle-compress": _op_rle_compress,
+    "rle-decompress": _op_rle_decompress,
+})

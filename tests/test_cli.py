@@ -204,6 +204,34 @@ def test_put_without_depots_is_usage_error(runner, tmp_path, monkeypatch):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--k", "3"], "replication k=3 must be between 1 and 1"),
+        (["--chunk", "0"], "chunk_size must be >= 1"),
+    ],
+)
+def test_put_with_a_bad_argument_is_usage_error(runner, tmp_path, args, message):
+    src = tmp_path / "f.bin"
+    src.write_bytes(b"x")
+    result = runner.invoke(main, ["put", str(src), "--depots", "127.0.0.1:9", *args])
+    assert result.exit_code == 2, result.output
+    assert message in result.stderr
+    assert "Traceback" not in result.output
+    assert not isinstance(result.exception, ValueError)
+
+
+def test_put_of_a_file_that_shrinks_mid_upload_exits_1(cluster, runner, tmp_path, monkeypatch):
+    src = tmp_path / "f.bin"
+    src.write_bytes(b"x" * 100)
+    real_pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, offset: real_pread(fd, n - 1, offset))
+    result = runner.invoke(main, ["put", str(src), "--depots", ",".join(cluster.addrs()), "--k", "1"])
+    assert result.exit_code == 1, result.output
+    assert f"IOError: {src} changed size during upload" in result.stderr
+    assert not (tmp_path / "f.bin.xnd.json").exists()
+
+
 def test_depots_env_fallback(cluster, runner, tmp_path, monkeypatch):
     monkeypatch.setenv("EBP_DEFAULT_DEPOTS", ",".join(cluster.addrs()))
     src = tmp_path / "f.bin"

@@ -669,7 +669,7 @@ def test_config_rejects_unknown_fields(tmp_path):
 def test_config_requires_total_capacity(tmp_path):
     path = tmp_path / "depot.json"
     path.write_text('{"max_alloc_size": 10}')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^depot config requires total_capacity$"):
         DepotConfig.from_json_file(str(path))
 
 

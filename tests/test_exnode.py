@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +156,136 @@ def test_wrong_kind_capability_in_read_field_rejected():
     doc["extents"][0]["replicas"][0]["read"] = cap(9, Kind.WRITE).text()
     with pytest.raises(SchemaError):
         from_json(json.dumps(doc))
+
+
+# The pinned format: these bytes and messages are the exNode JSON contract.
+KEY = "0123456789abcdef0123456789abcdef01234567"
+CANONICAL = (
+    '{"extents":[{"length":5,"offset":0,"replicas":[{"base":0,"depot":"a.example:1",'
+    '"manage":"ebp://a.example:1/1/' + KEY + '/manage",'
+    '"read":"ebp://a.example:1/1/' + KEY + '/read",'
+    '"write":"ebp://a.example:1/1/' + KEY + '/write"}],"x-note":"keep"},'
+    '{"length":7,"offset":5,"replicas":[{"base":3,"depot":"b.example:2",'
+    '"read":"ebp://b.example:2/7/' + KEY + '/read","x-weight":{"w":[1,null,true]}}]}],'
+    '"metadata":{"name":"fé","owner":"ops"},"total_length":12,"version":1,"x-top":[{"deep":1.5}]}'
+)
+
+
+def canonical_exnode() -> ExNode:
+    a, b = "a.example:1", "b.example:2"
+    full = Replica(
+        a,
+        Capability(a, 1, Kind.READ, KEY),
+        Capability(a, 1, Kind.WRITE, KEY),
+        Capability(a, 1, Kind.MANAGE, KEY),
+    )
+    weight = ("__map__", (("w", ("__list__", (1, None, True))),))
+    readonly = Replica(b, Capability(b, 7, Kind.READ, KEY), base=3, extra=(("x-weight", weight),))
+    return ExNode(
+        total_length=12,
+        extents=(
+            Extent(0, 5, (full,), extra=(("x-note", "keep"),)),
+            Extent(5, 7, (readonly,)),
+        ),
+        metadata=(("name", "fé"), ("owner", "ops")),
+        extra=(("x-top", ("__list__", (("__map__", (("deep", 1.5),)),))),),
+    )
+
+
+def test_canonical_document_bytes_are_pinned():
+    assert to_json(canonical_exnode()) == CANONICAL
+    assert from_json(CANONICAL) == canonical_exnode()
+    assert to_json(from_json(CANONICAL)) == CANONICAL
+    assert to_json(make_exnode(0, [])) == '{"extents":[],"metadata":{},"total_length":0,"version":1}'
+
+
+def test_parse_sorts_extents_and_metadata_and_defaults_base():
+    doc = json.loads(CANONICAL)
+    doc["extents"].reverse()
+    doc["metadata"] = {"owner": "ops", "name": "fé"}
+    del doc["extents"][1]["replicas"][0]["base"]
+    assert to_json(from_json(json.dumps(doc, indent=2))) == CANONICAL
+    del doc["metadata"]
+    assert from_json(json.dumps(doc)).metadata == ()
+
+
+DROP = object()
+
+
+def mutated(*edits) -> str:
+    """CANONICAL with each (path, value) edit applied; DROP deletes."""
+    doc = json.loads(CANONICAL)
+    for path, value in edits:
+        *parents, last = path
+        target = functools.reduce(operator.getitem, parents, doc)
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+    return json.dumps(doc)
+
+
+R0 = ("extents", 0, "replicas", 0)
+R1 = ("extents", 1, "replicas", 0)
+READ_TEXT = f"ebp://a.example:1/1/{KEY}/read"
+WRITE_TEXT = f"ebp://a.example:1/1/{KEY}/write"
+MALFORMED = [
+    ("{not json", ParseError,
+     "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("", ParseError, "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (None, ParseError, "not valid JSON: the JSON object must be str, bytes or bytearray, not NoneType"),
+    ("[1,2,3]", SchemaError, "top level must be an object"),
+    (mutated((("version",), DROP)), SchemaError, "top level is missing required field 'version'"),
+    (mutated((("version",), "1")), SchemaError, "top level field 'version' must be int"),
+    (mutated((("version",), True)), SchemaError, "top level field 'version' must be int"),
+    (mutated((("version",), 2), (("total_length",), DROP)), VersionUnsupported,
+     "format version 2 not supported"),
+    (mutated((("total_length",), DROP)), SchemaError,
+     "top level is missing required field 'total_length'"),
+    (mutated((("total_length",), 1.0)), SchemaError, "top level field 'total_length' must be int"),
+    (mutated((("extents",), {})), SchemaError, "top level field 'extents' must be list"),
+    (mutated((("extents",), "x"), (("metadata",), 1)), SchemaError,
+     "top level field 'extents' must be list"),
+    (mutated((("metadata",), {"a": 1})), SchemaError, "metadata must be a string map"),
+    (mutated((("metadata",), None)), SchemaError, "metadata must be a string map"),
+    (mutated((("metadata",), []), (("extents", 0, "offset"), DROP)), SchemaError,
+     "metadata must be a string map"),
+    (mutated((("extents", 1), [])), SchemaError, "extent 1 must be an object"),
+    (mutated((("extents", 0, "offset"), DROP)), SchemaError,
+     "extent 0 is missing required field 'offset'"),
+    (mutated((("extents", 1, "length"), False)), SchemaError, "extent 1 field 'length' must be int"),
+    (mutated((("extents", 0, "replicas"), DROP)), SchemaError,
+     "extent 0 is missing required field 'replicas'"),
+    (mutated((("extents", 0, "offset"), "0"), (("extents", 0, "replicas"), "r")), SchemaError,
+     "extent 0 field 'offset' must be int"),
+    (mutated((R0, "r")), SchemaError, "extent 0 replica 0 must be an object"),
+    (mutated((R1 + ("depot",), DROP)), SchemaError,
+     "extent 1 replica 0 is missing required field 'depot'"),
+    (mutated((R1 + ("depot",), 5)), SchemaError, "extent 1 replica 0 field 'depot' must be str"),
+    (mutated((R0 + ("read",), DROP)), SchemaError,
+     "extent 0 replica 0 is missing required field 'read'"),
+    (mutated((R0 + ("read",), 7)), SchemaError,
+     "extent 0 replica 0 field 'read' must be a capability string"),
+    (mutated((R0 + ("write",), None)), SchemaError,
+     "extent 0 replica 0 field 'write' must be a capability string"),
+    (mutated((R0 + ("read",), "ebp://x")), SchemaError,
+     "extent 0 replica 0 field 'read': bad capability: 'ebp://x'"),
+    (mutated((R0 + ("read",), WRITE_TEXT)), SchemaError,
+     "extent 0 replica 0 field 'read' holds a write capability"),
+    (mutated((R0 + ("manage",), READ_TEXT)), SchemaError,
+     "extent 0 replica 0 field 'manage' holds a read capability"),
+    (mutated((R1 + ("base",), "0")), SchemaError, "extent 1 replica 0 field 'base' must be int"),
+    (mutated((R0 + ("read",), "ebp://x"), (R0 + ("base",), "0")), SchemaError,
+     "extent 0 replica 0 field 'read': bad capability: 'ebp://x'"),
+]
+
+
+@pytest.mark.parametrize("document, error, message", MALFORMED)
+def test_malformed_documents_get_pinned_errors(document, error, message):
+    with pytest.raises(error) as info:
+        from_json(document)
+    assert type(info.value) is error
+    assert info.value.message == message
 
 
 @given(

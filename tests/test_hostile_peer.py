@@ -209,12 +209,16 @@ def honest_requests(caps) -> list:
     ]
 
 
-@given(steps=st.lists(step, max_size=6), last=st.none() | last_step)
+@given(steps=st.lists(step, max_size=6), last=st.none() | last_step, cut=st.none() | st.floats(0, 1))
 @settings(max_examples=200, deadline=None)
-def test_a_hostile_session_gets_the_grammar_replies_and_no_other(steps, last):
+def test_a_hostile_session_gets_the_grammar_replies_and_no_other(steps, last, cut):
+    """``cut``, when given, ends the stream at that fraction of its bytes,
+    wherever that falls: in a header, a payload or between requests."""
     server, sets = new_server()
     twin, _ = new_server()
     stream = b"".join(make(sets) for make in steps + [last] * (last is not None))
+    if cut is not None:
+        stream = stream[: int(cut * len(stream))]
     expected, cut_target = oracle(stream, twin)
     honest_reqs = honest_requests(sets[2])
     honest_expected = [dispatch_request(req, twin) for req in honest_reqs]

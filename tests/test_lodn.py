@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 import time
 
@@ -18,6 +19,9 @@ from ebp.exnode import read_exnode, to_json, write_exnode
 from ebp.lodn import LodnScheduler, Policy, TickReport, policy_path_for, run_dir
 from ebp.lors import download, upload
 from ebp.simnet import SimCluster
+
+
+MISSING = object()  # a policy field left out of the file
 
 
 @pytest.fixture
@@ -128,10 +132,15 @@ def test_policy_json_file_strict(tmp_path):
         ("check_period", False),
         ("preferred_depots", "127.0.0.1:1"),
         ("preferred_depots", ["a:1", 2]),
+        pytest.param("replicas", MISSING, id="replicas-missing"),
+        pytest.param("renew_before", MISSING, id="renew_before-missing"),
+        pytest.param("check_period", MISSING, id="check_period-missing"),
     ],
 )
 def test_policy_json_file_rejects_a_wrong_typed_field(tmp_path, field, value):
     doc = {"replicas": 2, "renew_before": 5, "check_period": 1, field: value}
+    if value is MISSING:
+        del doc[field]
     ppath = tmp_path / "p.policy.json"
     ppath.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=field):
@@ -469,9 +478,25 @@ def test_run_dir_adopts_and_ticks(cluster, tmp_path):
 
 
 def test_run_dir_skips_an_exnode_whose_policy_is_wrong_typed(cluster, tmp_path, caplog):
+    """A wrong-typed field, or a required one left out."""
     path, *_ = managed_file(cluster, tmp_path, lease_s=100)
-    with open(policy_path_for(path), "w") as fh:
-        json.dump({"replicas": "2", "renew_before": 5, "check_period": 1}, fh)
+    for doc in (
+        {"replicas": "2", "renew_before": 5, "check_period": 1},
+        {"renew_before": 5, "check_period": 1},
+    ):
+        with open(policy_path_for(path), "w") as fh:
+            json.dump(doc, fh)
+        sched = new_scheduler(lease_s=100)
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="ebp.lodn"):
+            run_dir(str(tmp_path), scheduler=sched, max_ticks=1)
+        assert sched.entries() == []
+        assert f"cannot adopt {path}" in caplog.text
+
+
+def test_run_dir_skips_an_exnode_whose_policy_cannot_be_read(cluster, tmp_path, caplog):
+    path, *_ = managed_file(cluster, tmp_path, lease_s=100)
+    os.mkdir(policy_path_for(path))  # open() raises IsADirectoryError
     sched = new_scheduler(lease_s=100)
     with caplog.at_level(logging.ERROR, logger="ebp.lodn"):
         run_dir(str(tmp_path), scheduler=sched, max_ticks=1)

@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from ebp.capability import Capability, Hardness, Kind
 from ebp.depot import Depot, DepotConfig
-from ebp.errors import BadCapability, DuplicateName, Expired, NotLocal, UnknownOperation
+from ebp.errors import BadCapability, Expired, NotLocal, UnknownOperation
 from ebp.nfu import (
+    OPS,
     NfuEngine,
     OutputsState,
     ResourceBudget,
     TransformSpec,
     TransformStatus,
-    builtin_registry,
 )
 
 BIG = ResourceBudget(max_wall_ms=10_000, max_scratch_bytes=64 * 1024 * 1024, max_io_bytes=256 * 1024 * 1024)
@@ -61,7 +61,7 @@ def run(engine, op, inputs, outputs, params=None, budget=BIG):
 
 
 def test_registry_ships_exactly_the_builtins():
-    assert tuple(builtin_registry().names()) == (
+    assert tuple(sorted(OPS)) == (
         "checksum-crc32",
         "checksum-sha256",
         "copy-range",
@@ -70,12 +70,8 @@ def test_registry_ships_exactly_the_builtins():
         "rle-decompress",
         "xor",
     )
-
-
-def test_duplicate_registration_rejected(rig):
-    _, engine = rig
-    with pytest.raises(DuplicateName):
-        engine.registry.register("xor", lambda ctx: None)
+    with pytest.raises(TypeError):
+        OPS["xor"] = lambda ctx: None
 
 
 def test_unknown_operation(rig):
