@@ -23,7 +23,7 @@ import click
 
 from . import lodn, lors
 from .capability import parse_capability
-from .client import DepotClient, session
+from .client import DepotClient, per_depot
 from .depot import DepotConfig
 from .errors import EbpError
 from .exnode import FILE_SUFFIX, read_exnode, validate, write_exnode
@@ -208,20 +208,15 @@ def stat_cmd(target, as_json):
 def renew_cmd(exnode, extend, as_json):
     """Renew the lease of every replica in an exNode."""
     replicas = [r for extent in read_exnode(exnode).extents for r in extent.replicas]
-    outcomes = [f"{r.depot_addr}: no manage capability" for r in replicas]
-    by_depot: dict = {}  # depot address -> positions in ``replicas`` to renew
-    for i, replica in enumerate(replicas):
-        if replica.manage is not None:
-            by_depot.setdefault(replica.depot_addr, []).append(i)
-    for addr, positions in by_depot.items():
-        try:
-            with session(addr) as cli:
-                results = cli.renew_many([replicas[i].manage for i in positions], extend)
-        except EbpError as exc:
-            results = [exc] * len(positions)
-        for i, result in zip(positions, results):
-            outcomes[i] = f"{addr}: {result.code}" if isinstance(result, EbpError) else None
-    failures = [outcome for outcome in outcomes if outcome is not None]
+    renewable = [r for r in replicas if r.manage is not None]
+    results = per_depot(
+        renewable,
+        lambda r: r.depot_addr,
+        lambda cli, group: cli.renew_many([r.manage for r in group], extend),
+    )
+    codes = iter(result.code if isinstance(result, EbpError) else None for result in results)
+    outcomes = [next(codes) if r.manage is not None else "no manage capability" for r in replicas]
+    failures = [f"{r.depot_addr}: {why}" for r, why in zip(replicas, outcomes) if why is not None]
     renewed = outcomes.count(None)
     if as_json:
         click.echo(json.dumps({"renewed": renewed, "failures": failures}))

@@ -21,13 +21,17 @@ cannot be read, a reply of the wrong shape, or such an ``ERR`` line), and
 after any exception raised mid-request but one: the refusal of the depot
 that lends a ``wire.LentPayload``, which comes before any byte is sent.
 
-``probe_many`` and ``renew_many`` send a batch: up to ``MAX_IN_FLIGHT``
-requests in one write, then their replies read in order, each through the
-same reply path as a lone request. They return one result per request, its
-value or the ``EbpError`` of its ``ERR`` line. A batch that hits ``Timeout``
-or ``ConnectionLost`` closes the session, and each request whose reply was
-not read gets such an error as its result; the answered ones keep theirs. A
-malformed reply raises ``MalformedFrame`` and closes the session.
+``probe_many``, ``renew_many`` and ``load_many`` (of reads up to one
+``wire.PIECE`` each) send a batch: up to ``MAX_IN_FLIGHT`` requests in one
+write, then their replies read in order, each through the same reply path as
+a lone request. They return one result per request, its value or the
+``EbpError`` of its ``ERR`` line. Such an error carries no traceback, which
+would keep the caller's frames alive until the cyclic collector runs. A
+batch that hits ``Timeout`` or ``ConnectionLost`` closes the session, and
+each request whose reply was not read gets such an error as its result; the
+answered ones keep theirs. A malformed reply raises ``MalformedFrame`` and
+closes the session. ``per_depot`` groups items by depot, runs one batch per
+group over one session each, and maps each result back to its item.
 
 ``session(addr, timeout_ms)`` lends an exclusive session from a small
 per-address pool; ``lors``, ``lodn`` and the depot's TRANSFER push use it so
@@ -55,6 +59,7 @@ from .depot import DepotStats, LoadResult, ProbeInfo
 from .errors import ConnectionLost, EbpError, MalformedFrame, Timeout, error_for_code
 from .nfu import ResourceBudget, TransformResult
 from .wire import (
+    PIECE,
     AllocateRequest,
     Framer,
     LentPayload,
@@ -149,14 +154,23 @@ class DepotClient:
     def probe_many(self, caps) -> list:
         """PROBE each of ``caps`` in one batch: a ProbeInfo, or the EbpError
         of its ERR line, per cap, in order."""
-        return self._batch([ProbeRequest(cap) for cap in caps], self.probe)
+        return self._batch([ProbeRequest(cap) for cap in caps], lambda req: self.probe(req.cap))
 
     def renew_many(self, caps, extension: int) -> list:
         """RENEW each of ``caps`` by ``extension`` in one batch: the remaining
         lifetime in milliseconds, or the EbpError of its ERR line, per cap,
         in order."""
         reqs = [RenewRequest(cap, extension) for cap in caps]
-        return self._batch(reqs, lambda cap: self.renew(cap, extension))
+        return self._batch(reqs, lambda req: self.renew(req.cap, extension))
+
+    def load_many(self, reads) -> list:
+        """LOAD each ``(cap, offset, length)`` of ``reads``, each at most one
+        ``wire.PIECE``, in one batch: a LoadResult, or the EbpError of its ERR
+        line, per read, in order."""
+        reqs = [LoadRequest(*read) for read in reads]
+        if any(req.length > PIECE for req in reqs):
+            raise ValueError(f"a batched LOAD reads at most {PIECE} bytes")
+        return self._batch(reqs, lambda req: self.load(req.cap, req.offset, req.length))
 
     def release(self, cap: Capability) -> None:
         self._request(ReleaseRequest, (cap,))
@@ -237,9 +251,10 @@ class DepotClient:
 
     def _batch(self, reqs: list, answer) -> list:
         """Write ``reqs`` ``MAX_IN_FLIGHT`` at a time, each window in one
-        write, and read each reply with ``answer(req.cap)``, the verb's own
+        write, and read each reply with ``answer(req)``, the verb's own
         method: ``_request`` finds the request already written and only reads
-        its reply. An ERR line becomes that request's result. After a
+        its reply. An ERR line becomes that request's result, without its
+        traceback, which would hold the caller's frames. After a
         Timeout or ConnectionLost the session is closed and the requests left
         unread get an error of the same kind without waiting; a malformed
         reply raises. A batch that ends with replies unread closes the
@@ -262,11 +277,11 @@ class DepotClient:
                         results.append(type(broken)(f"{req.verb} against {self.addr}: no reply"))
                         continue
                     try:
-                        results.append(answer(req.cap))
+                        results.append(answer(req))
                     except MalformedFrame:
                         raise
                     except EbpError as exc:
-                        results.append(exc)
+                        results.append(exc.with_traceback(None))
                         if exc.code in _DESYNC_CODES:
                             broken = exc
         finally:
@@ -402,6 +417,27 @@ def session(addr: str, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> Iterator[DepotCl
     finally:
         if not cli.closed:
             _pool.give(cli)
+
+
+def per_depot(items: list, addr_of, run, open_session=session) -> list:
+    """One result per item of ``items``, in order. The items are grouped by
+    ``addr_of(item)``, and each group is handled by one ``run(cli, group)``,
+    which returns a result per item of its group, over one
+    ``open_session(addr)``; a session that fails gives each item of its group
+    that error, without its traceback."""
+    groups: dict = {}  # depot address -> positions in ``items``
+    for i, item in enumerate(items):
+        groups.setdefault(addr_of(item), []).append(i)
+    results = [None] * len(items)
+    for addr, positions in groups.items():
+        try:
+            with open_session(addr) as cli:
+                answers = run(cli, [items[i] for i in positions])
+        except EbpError as exc:
+            answers = [exc.with_traceback(None)] * len(positions)
+        for i, answer in zip(positions, answers):
+            results[i] = answer
+    return results
 
 
 def drain_pool() -> None:

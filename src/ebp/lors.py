@@ -11,22 +11,27 @@ arrived; a device or FIFO is written in place instead, never replaced.
 Every call reaches the depots through one ``_Call``, which keeps three rules
 once each:
 - a depot whose own session hit ``Timeout`` or ``ConnectionLost`` gets no
-  further connection attempt in that call;
+  further connection attempt in that call, and workers that reach a depot
+  while the call's first session to it is open wait for its outcome, so a
+  hung depot is dialed once per call;
 - upload and download run extents on ``parallelism`` threads, and none
   starts after one has failed;
 - a replica whose LOAD fails or returns bytes with the unknown-state flag
-  has failed (``_load_clean``), and such bytes are never returned. Download
+  has failed (``_verdict``), and such bytes are never returned. Download
   tries each extent's replicas in list order until one reads clean; repair
-  keeps a replica only if its extent's last byte does.
+  keeps a replica only if its extent's last byte does, and judges every
+  replica first, with one batch of 1-byte LOADs per depot.
 
-Upload and repair place replicas by one rule (``_place``): walk the candidate
-depots in order, skip those that hold the extent already, allocate, fill, and
-stop at ``k`` replicas. Upload fills by STORE and starts chunk ``i``'s
-candidates at depot ``i mod len(depots)``, so placement is deterministic;
-repair fills by TRANSFER from a surviving replica, so payload bytes never
-cross the repairing client's link. An allocation whose fill fails is
-released, and so, when a call fails, is every replica it placed; a repair
-that succeeds releases the dropped replicas not already gone (best-effort).
+Upload and repair place replicas by one walk (``_place``): extent ``i``'s
+candidates are ``depots`` from position ``i mod len(depots)`` round to the
+one before it, so placement is deterministic and a replica rebuilt while its
+depot stays up lands back where upload put it. The walk skips depots that
+hold the extent already, allocates, fills, and stops at ``k`` replicas.
+Upload fills by STORE; repair fills by TRANSFER from a surviving replica, so
+payload bytes never cross the repairing client's link. An allocation whose
+fill fails is released, and so, when a call fails, is every replica it
+placed; a repair that succeeds releases the dropped replicas not already
+gone (best-effort).
 
 The runtime is stateless: leases default to one hour and keeping them alive
 is the policy daemon's job. Requests go through pooled ``client.session``s,
@@ -46,8 +51,15 @@ from dataclasses import replace
 from typing import Iterator, Optional, Union
 
 from .capability import Hardness
-from .client import DEFAULT_TIMEOUT_MS, session
-from .errors import EbpError, ExtentUnavailable, InsufficientDepots, NoSuchAllocation, ValidationFailed
+from .client import DEFAULT_TIMEOUT_MS, per_depot, session
+from .errors import (
+    ConnectionLost,
+    EbpError,
+    ExtentUnavailable,
+    InsufficientDepots,
+    NoSuchAllocation,
+    ValidationFailed,
+)
 from .exnode import ExNode, Extent, Replica, make_exnode, validate
 
 DEFAULT_LEASE_S = 3600
@@ -83,9 +95,8 @@ def upload(
         def place(index: int) -> Extent:
             offset = index * chunk_size
             chunk = read(offset, min(chunk_size, total - offset))
-            candidates = [depots[(index + j) % len(depots)] for j in range(len(depots))]
             extent = Extent(offset, len(chunk), ())
-            return _place(call, extent, candidates, k, lambda cli, caps: cli.store(caps.write, 0, chunk))
+            return _place(call, extent, depots, index, k, lambda cli, caps: cli.store(caps.write, 0, chunk))
 
         extents = call.map(place, range(-(-total // chunk_size)), parallelism)
     return make_exnode(total, extents, metadata)
@@ -160,7 +171,11 @@ def _fetch(exnode: ExNode, target, parallelism: int, timeout_ms: int) -> None:
             failures = []
             with view[extent.offset : extent.offset + extent.length] as part:
                 for replica in extent.replicas:
-                    why = _load_clean(call, replica, 0, extent.length, part)
+                    try:
+                        with call.session(replica.depot_addr) as cli:
+                            why = _verdict(cli.load(replica.read, replica.base, extent.length, part))
+                    except EbpError as exc:
+                        why = exc.code
                     if why is None:
                         return
                     failures.append(f"{replica.depot_addr}: {why}")
@@ -239,20 +254,29 @@ def repair(
 ) -> ExNode:
     """Bring every extent back to >= k live replicas; returns a new exNode.
 
-    New replicas go on ``depots`` in list order by upload's placement rule,
-    each filled by a surviving replica's depot TRANSFERring the extent to it.
-    Extents already at ``k`` are returned untouched (dead replica entries and
-    all); repaired extents keep only live replicas plus the new ones, and the
-    replicas they drop are released unless their LOAD said NoSuchAllocation.
-    A failed repair (ExtentUnavailable, InsufficientDepots) releases what it
-    placed and none that it dropped.
+    A replica is live when its extent's last byte loads clean; every replica
+    is judged first, by one batch of 1-byte LOADs per depot. Extent ``i``'s
+    new replicas then go on ``depots`` walked from position ``i``, as upload
+    places chunk ``i``, each filled by a surviving replica's depot
+    TRANSFERring the extent to it. Extents already at ``k`` are returned
+    untouched (dead replica entries and all); repaired extents keep only live
+    replicas plus the new ones, and the replicas they drop are released
+    unless their LOAD said NoSuchAllocation. A failed repair
+    (ExtentUnavailable, InsufficientDepots) releases what it placed and none
+    that it dropped.
     """
     _check(exnode)
     extents, dropped = [], []
     with _Call(timeout_ms, lease_s) as call:
-        for extent in exnode.extents:
-            # A replica is live when its extent's last byte loads clean.
-            checked = [(r, _load_clean(call, r, extent.length - 1, 1)) for r in extent.replicas]
+        results = per_depot(
+            [(r, e.length) for e in exnode.extents for r in e.replicas],
+            lambda item: item[0].depot_addr,
+            lambda cli, group: cli.load_many([(r.read, r.base + n - 1, 1) for r, n in group]),
+            call.session,
+        )
+        verdicts = map(_verdict, results)
+        for index, extent in enumerate(exnode.extents):
+            checked = [(r, next(verdicts)) for r in extent.replicas]
             live = tuple(r for r, why in checked if why is None)
             if len(live) >= k:
                 extents.append(extent)
@@ -267,7 +291,7 @@ def repair(
                 with call.session(source.depot_addr) as src:
                     src.transfer(source.read, source.base, caps.write, 0, length)
 
-            extents.append(_place(call, replace(extent, replicas=live), depots, k, transfer))
+            extents.append(_place(call, replace(extent, replicas=live), depots, index, k, transfer))
             # An allocation already gone needs no release; an expired one does.
             dropped += (r for r, why in checked if why not in (None, NoSuchAllocation.code))
         # Only the caller's exNode names the dropped replicas now; had the
@@ -292,28 +316,48 @@ class _Call:
         self.timeout_ms, self.lease_s = timeout_ms, lease_s
         self.placed: list = []  # (address, manage cap) of every filled replica
         self._unreachable: dict = {}  # address -> the error that showed it
+        self._reached: dict = {}  # address -> Event set once the first session to it ended
         self._lock = threading.Lock()
 
     @contextmanager
     def session(self, addr: str) -> Iterator:
         """A pooled session to ``addr``, or, once ``addr`` proved unreachable,
-        its error again without a connection attempt. Only this session's own
-        Timeout or ConnectionLost marks ``addr``: one that could not open or
-        that a request closed, not one passing through from a session opened
-        inside it, as repair's TRANSFER source is."""
+        its error again without a connection attempt. The call's first
+        session to ``addr`` runs alone: a worker that asks for ``addr`` before
+        it has ended waits for it, so a hung depot is dialed once per call,
+        not once per worker; so no session to ``addr`` may open inside that
+        first one. Only this session's own Timeout or
+        ConnectionLost marks ``addr``: one that could not open, that a request
+        closed or that a batch closed, not one passing through from a session
+        opened inside it, as repair's TRANSFER source is."""
         with self._lock:
-            known = self._unreachable.get(addr)
-        if known is not None:
-            raise type(known)(known.message)
-        cli = None
+            first = self._reached.get(addr)
+            if first is None:
+                self._reached[addr] = reached = threading.Event()
+        if first is not None:
+            first.wait()
+        unreachable = None  # a copy of the error that shows it, without its traceback
         try:
-            with session(addr, self.timeout_ms) as cli:
-                yield cli
-        except EbpError as exc:
-            if exc.code in ("ConnectionLost", "Timeout") and (cli is None or cli.closed):
+            with self._lock:
+                known = self._unreachable.get(addr)
+            if known is not None:
+                raise type(known)(known.message)
+            cli = None
+            try:
+                with session(addr, self.timeout_ms) as cli:
+                    yield cli
+            except EbpError as exc:
+                if exc.code in ("ConnectionLost", "Timeout") and (cli is None or cli.closed):
+                    unreachable = type(exc)(exc.message)
+                raise
+            if cli.closed:  # a batch met a Timeout or ConnectionLost and returned it
+                unreachable = ConnectionLost(f"a batch against {addr} lost its session")
+        finally:
+            if unreachable is not None:
                 with self._lock:
-                    self._unreachable.setdefault(addr, exc)
-            raise
+                    self._unreachable.setdefault(addr, unreachable)
+            if first is None:
+                reached.set()
 
     def map(self, fn, items, parallelism: int) -> list:
         """``[fn(item) for item in items]`` on ``parallelism`` threads. After
@@ -351,15 +395,17 @@ class _Call:
             self.release(self.placed)
 
 
-def _place(call: _Call, extent: Extent, candidates, k: int, fill) -> Extent:
-    """``extent`` with new replicas added to those it holds, on ``candidates``
-    in order, until it has ``k``. Each new replica is a soft allocation on a
-    depot that holds none yet, filled by ``fill(cli, caps)`` over that depot's
-    session; one whose fill fails is released. Raises InsufficientDepots,
-    naming the last error, when ``k`` is out of reach."""
+def _place(call: _Call, extent: Extent, depots: list, start: int, k: int, fill) -> Extent:
+    """``extent`` with new replicas added to those it holds until it has
+    ``k``, on ``depots`` walked round from position ``start`` (modulo their
+    number): the one walk of upload and repair. Each new replica is a soft
+    allocation on a depot that holds none yet, filled by ``fill(cli, caps)``
+    over that depot's session; one whose fill fails is released. Raises
+    InsufficientDepots, naming the last error, when ``k`` is out of reach."""
     replicas = list(extent.replicas)
     last_error: Optional[EbpError] = None
-    for addr in candidates:
+    for j in range(len(depots)):
+        addr = depots[(start + j) % len(depots)]
         if len(replicas) >= k:
             break
         if any(r.depot_addr == addr for r in replicas):
@@ -382,16 +428,13 @@ def _place(call: _Call, extent: Extent, candidates, k: int, fill) -> Extent:
     return replace(extent, replicas=tuple(replicas))
 
 
-def _load_clean(call: _Call, replica: Replica, start: int, length: int, *into) -> Optional[str]:
-    """LOAD ``length`` bytes at ``start`` of ``replica``'s extent through
-    ``call``, into ``into`` (one buffer) if given. Returns None if they
-    arrived whole and without the unknown-state flag, else the error code or
-    "unknown-state bytes": the one place where download and repair judge a replica."""
-    try:
-        with call.session(replica.depot_addr) as cli:
-            result = cli.load(replica.read, replica.base + start, length, *into)
-    except EbpError as exc:
-        return exc.code
+def _verdict(result) -> Optional[str]:
+    """None for a LoadResult without the unknown-state flag, else why its
+    replica failed: an EbpError's code or "unknown-state bytes". The one
+    rule by which download and repair judge a replica; such bytes are never
+    returned."""
+    if isinstance(result, EbpError):
+        return result.code
     return "unknown-state bytes" if result.unknown_state else None
 
 

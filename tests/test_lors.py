@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import random
 import socket
+import sys
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebp.client import DepotClient
+import ebp.client as client_mod
+from ebp.client import DepotClient, drain_pool
 from ebp.errors import ConnectionLost, EbpError, ExtentUnavailable, InsufficientDepots, ValidationFailed
 from ebp.exnode import validate
 from ebp.lors import download, release_all, repair, upload
@@ -182,21 +185,37 @@ def test_download_makes_at_most_one_connection_attempt_to_a_dead_depot(cluster, 
     assert connections[dead] <= 1
 
 
-def test_download_waits_out_a_hung_depot_once(cluster):
-    data = random.Random(10).randbytes(24_000)
-    x = upload(data, cluster.addrs(), chunk_size=1000, k=2)
-    hung = cluster.handle("d0").addr
-    assert sum(e.replicas[0].depot_addr == hung for e in x.extents) == 8
-    cluster.kill("d0")
-    # A listener on the dead depot's port: connections open, no reply comes.
-    host, port = hung.rsplit(":", 1)
+@contextmanager
+def hung(cluster, name: str):
+    """Kill depot ``name`` and put a listener on its port that accepts
+    connections and never answers; yields its address."""
+    addr = cluster.handle(name).addr
+    cluster.kill(name)
+    host, port = addr.rsplit(":", 1)
     with socket.socket() as listener:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, int(port)))
         listener.listen(16)
-        started = time.monotonic()
-        assert download(x, parallelism=1, timeout_ms=300) == data
-        assert time.monotonic() - started < 0.6
+        yield addr
+
+
+@pytest.mark.parametrize("parallelism", [1, 4, 16])
+def test_download_waits_out_a_hung_depot_once(cluster, connections, parallelism):
+    data = random.Random(10).randbytes(24_000)
+    x = upload(data, cluster.addrs(), chunk_size=1000, k=2)
+    assert sum(e.replicas[0].depot_addr == cluster.handle("d0").addr for e in x.extents) == 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # workers interleave often
+    try:
+        with hung(cluster, "d0") as addr:
+            connections.clear()
+            started = time.monotonic()
+            assert download(x, parallelism=parallelism, timeout_ms=300) == data
+            assert time.monotonic() - started < 0.6
+            # In parallel, the other workers waited for the first's outcome.
+            assert connections[addr] == 1
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_download_starts_no_extent_after_one_failed(cluster, monkeypatch):
@@ -339,8 +358,100 @@ def test_repair_makes_at_most_one_connection_attempt_to_a_dead_depot(cluster, co
     assert download(repaired, timeout_ms=500) == data
 
 
+def test_repair_that_times_out_on_a_hung_depot_dials_it_once(cluster, connections):
+    data = random.Random(11).randbytes(6000)
+    x = upload(data, cluster.addrs(), chunk_size=1000, k=2)
+    with hung(cluster, "d0") as addr:
+        connections.clear()
+        started = time.monotonic()
+        repaired = repair(x, 2, cluster.addrs(), timeout_ms=300)
+        assert time.monotonic() - started < 0.6
+        # The health batch timed out; no placement dialed the depot again.
+        assert connections[addr] == 1
+    assert all(r.depot_addr != addr for e in repaired.extents for r in e.replicas)
+    assert download(repaired) == data
+
+
+def test_repair_rebuilds_each_lost_replica_where_upload_placed_it():
+    # Extent i lives on depots i and i+1 (mod 4). With replica 0 of each
+    # released, the walk from depot i puts it back there; a walk from the
+    # first depot would leave {12, 6, 3, 3}.
+    with SimCluster(4) as four:
+        x = upload(bytes(12_000), four.addrs(), chunk_size=1000, k=2)
+        for extent in x.extents:
+            gone = extent.replicas[0]
+            with DepotClient(gone.depot_addr) as cli:
+                cli.release(gone.manage)
+        repaired = repair(x, 2, four.addrs())
+        assert named_on(four.addrs(), repaired) == [6, 6, 6, 6]
+        assert live_allocations(four) == [6, 6, 6, 6]
+        assert [[r.depot_addr for r in e.replicas][::-1] for e in repaired.extents] == [
+            [r.depot_addr for r in e.replicas] for e in x.extents
+        ]
+
+
+def test_repair_dials_each_depot_once_and_loads_each_replica_once(monkeypatch):
+    data = random.Random(12).randbytes(8000)
+    with SimCluster(4) as four:
+        addrs = four.addrs()
+        # Extent i is on depots i and i+1 (mod 4). Extent 0 loses its d0
+        # replica to a release, extent 1 its d1 replica to poison, and
+        # extents 2, 3, 6 and 7 their d3 replica to d3's death.
+        x = upload(data, addrs, chunk_size=1000, k=2)
+        released, poisoned = x.extents[0].replicas[0], x.extents[1].replicas[0]
+        with DepotClient(released.depot_addr) as cli:
+            cli.release(released.manage)
+        four.handle("d1").server.depot.mark_unknown(poisoned.manage)
+        four.kill("d3")
+        servers = [four.handle(f"d{i}").server for i in range(3)]
+        loads_before = [server.verb_counts["LOAD"] for server in servers]
+        releases_before = [server.verb_counts["RELEASE"] for server in servers]
+        drain_pool()
+
+        # Only the repairing thread counts: the depots' TRANSFER pushes
+        # open their own sessions in this process.
+        repairer = threading.get_ident()
+        dials, loads = Counter(), Counter()
+        real_connect, real_load = client_mod.socket.create_connection, DepotClient.load
+
+        def connect(address, *args, **kwargs):
+            if threading.get_ident() == repairer:
+                dials[f"{address[0]}:{address[1]}"] += 1
+            return real_connect(address, *args, **kwargs)
+
+        def load(self, cap, offset, length):
+            if threading.get_ident() == repairer:
+                loads[(cap, offset, length)] += 1
+            return real_load(self, cap, offset, length)
+
+        monkeypatch.setattr(client_mod.socket, "create_connection", connect)
+        monkeypatch.setattr(DepotClient, "load", load)
+        repaired = repair(x, 2, addrs, timeout_ms=500)
+        monkeypatch.undo()
+
+        assert dials == {addr: 1 for addr in addrs}
+        reachable = [(e, r) for e in x.extents for r in e.replicas if r.depot_addr != addrs[3]]
+        assert loads == {(r.read, r.base + e.length - 1, 1): 1 for e, r in reachable}
+        held = [sum(r.depot_addr == addr for _, r in reachable) for addr in addrs[:3]]
+        deadline = time.monotonic() + 5  # a depot counts a LOAD once its reply is out
+        while [s.verb_counts["LOAD"] - n for s, n in zip(servers, loads_before)] != held:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        # Judged as before: the released replica is not released again, the
+        # poisoned one is, and none of d3's is dialed for.
+        releases = [s.verb_counts["RELEASE"] - n for s, n in zip(servers, releases_before)]
+        assert releases == [0, 1, 0]
+        for old, new in zip(x.extents, repaired.extents):
+            assert len(new.replicas) == 2
+            assert released not in new.replicas and poisoned not in new.replicas
+            assert addrs[3] not in {r.depot_addr for r in new.replicas}
+            assert new == old or old.offset // 1000 in (0, 1, 2, 3, 6, 7)
+        assert live_allocations(four, addrs[:3]) == named_on(addrs[:3], repaired)
+        assert download(repaired) == data
+
+
 def test_failed_transfer_releases_its_allocation_and_marks_no_depot(cluster, monkeypatch):
-    data = random.Random(8).randbytes(200_000)
+    data = random.Random(8).randbytes(300_000)
     d0, d1, d2 = cluster.addrs()
     x = upload(data, [d0], chunk_size=100_000, k=1)
     real_transfer = DepotClient.transfer
@@ -355,11 +466,16 @@ def test_failed_transfer_releases_its_allocation_and_marks_no_depot(cluster, mon
     monkeypatch.setattr(DepotClient, "transfer", transfer_losing_the_first)
     repaired = repair(x, 2, [d1, d2])
     monkeypatch.undo()
-    # Extent 0's allocation on d1 was given back and the extent went to d2;
-    # neither the source d0 nor d1 counts as unreachable, so extent 1 takes d1.
-    assert calls == [d0, d0, d0]
-    assert [[r.depot_addr for r in e.replicas] for e in repaired.extents] == [[d0, d2], [d0, d1]]
-    assert live_allocations(cluster) == [2, 1, 1]
+    # Extent 0's allocation on d1 was given back and the extent went to d2.
+    # Extent 2's walk starts at d1 again, and neither the source d0 nor d1
+    # counts as unreachable, so extent 2 takes d1.
+    assert calls == [d0, d0, d0, d0]
+    assert [[r.depot_addr for r in e.replicas] for e in repaired.extents] == [
+        [d0, d2],
+        [d0, d2],
+        [d0, d1],
+    ]
+    assert live_allocations(cluster) == [3, 1, 2]
     assert download(repaired) == data
 
 

@@ -8,6 +8,7 @@ import os
 import socket
 import sys
 import threading
+import time
 import weakref
 from collections import Counter
 from contextlib import ExitStack
@@ -31,6 +32,7 @@ from ebp.exnode import Extent, Replica, make_exnode, write_exnode
 from ebp.lodn import LodnScheduler, Policy
 from ebp.lors import download, upload
 from ebp.simnet import SimCluster
+from ebp.wire import PIECE
 
 pool = client_mod._pool
 
@@ -245,7 +247,17 @@ def test_restarted_depot_gets_a_fresh_session_and_no_request_twice(connections):
         assert download(x, parallelism=1) == data
         assert connections == {addr: 1}  # the stale session was dropped unsent
         assert old.verb_counts == old_counts
-        assert new.verb_counts == {"ALLOCATE": 1, "STORE": 1, "LOAD": 1}
+        assert settled(new.verb_counts, {"ALLOCATE": 1, "STORE": 1, "LOAD": 1})
+
+
+def settled(counts, want: dict) -> bool:
+    """Whether a depot's ``verb_counts`` come to equal ``want`` within 5 s: a
+    stream LOAD is counted only once its reply is out, so a client can read
+    the reply first."""
+    deadline = time.monotonic() + 5
+    while counts != want and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return counts == want
 
 
 # ----------------------------------------------------------------- batches
@@ -322,6 +334,54 @@ def test_batch_interrupted_between_replies_closes_the_session():
         assert len(answered) == 1  # two replies were never read
         assert cli._sock.fileno() == -1
         assert addr not in pool.idle_counts()
+
+
+def test_a_batch_error_leaves_no_reference_cycle():
+    # An error a batch returns with its traceback would keep the frames of
+    # the batch's caller, and whatever large buffers they hold, alive until
+    # the cyclic collector ran, though the caller and its results are gone.
+    class Buffer(bytearray):
+        pass
+
+    with SimCluster(1) as cluster:
+        addr = cluster.addrs()[0]
+        with session(addr) as cli:
+            live, gone = (cli.allocate(8, 60, Hardness.SOFT).manage for _ in range(2))
+            cli.release(gone)
+
+        def caller():
+            held = Buffer(8 * 1024 * 1024)
+            with session(addr) as cli:
+                results = cli.renew_many([live, gone], 60)
+            assert isinstance(results[1], (NoSuchAllocation, BadCapability))
+            return weakref.ref(held)
+
+        gc.disable()
+        try:
+            assert caller()() is None
+        finally:
+            gc.enable()
+
+
+def test_load_many_reads_each_range_in_one_batch():
+    with SimCluster(1) as cluster:
+        addr = cluster.addrs()[0]
+        with session(addr) as cli:
+            caps = cli.allocate(10, 60, Hardness.SOFT)
+            cli.store(caps.write, 0, b"0123456789")
+            gone = cli.allocate(8, 60, Hardness.SOFT)
+            cli.release(gone.manage)
+            results = cli.load_many([(caps.read, 9, 1), (gone.read, 0, 1), (caps.read, 2, 3)])
+            with pytest.raises(ValueError):
+                cli.load_many([(caps.read, 0, 1), (caps.read, 0, PIECE + 1)])
+        assert [bytes(results[0].data), bytes(results[2].data)] == [b"9", b"234"]
+        assert not results[0].unknown_state
+        assert isinstance(results[1], (NoSuchAllocation, BadCapability))
+        assert results[1].__traceback__ is None
+        counts = cluster.handle("d0").server.verb_counts
+        assert settled(counts, {"ALLOCATE": 2, "STORE": 1, "RELEASE": 1, "LOAD": 3})
+        with session(addr) as again:
+            assert again is cli  # every reply was read: the stream is in sync
 
 
 # ------------------------------------------------------------------ bounds
